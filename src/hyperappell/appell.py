@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .clifford import Multivector, Paravector, vector_power
@@ -382,7 +383,8 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
     """The j-th power of the vector variable as an explicit polynomial.
 
     Even powers expand (-(x1^2 + ... + xn^2))^(j/2) multinomially into
-    scalar monomials; odd powers carry one extra factor x_k e_k.
+    scalar monomials; odd powers carry one extra factor x_k e_k.  Every
+    caller gets the same cached polynomial, so its terms are read-only.
     """
     if n < 1:
         raise ValueError("dimension n must be at least 1")
@@ -390,6 +392,7 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
         raise ValueError("exponent must be nonnegative")
     half = j // 2
     sign = ONE if half % 2 == 0 else -ONE
+    # Distinct (combo, k) give distinct monomials: k is the one odd exponent.
     terms: dict[tuple[int, ...], Multivector] = {}
     for combo in _weak_compositions(half, n):
         weight = math.factorial(half)
@@ -398,20 +401,17 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
         coeff = sign * weight
         exps_vec = tuple(2 * b for b in combo)
         if j % 2 == 0:
-            exps = (0,) + exps_vec
-            prior = terms.get(exps)
-            mv = Multivector.scalar(n, coeff)
-            terms[exps] = mv if prior is None else prior + mv
+            terms[(0,) + exps_vec] = Multivector.scalar(n, coeff)
         else:
             for k in range(1, n + 1):
                 exps = (0,) + tuple(
                     e + (1 if idx == k else 0)
                     for idx, e in enumerate(exps_vec, start=1)
                 )
-                mv = Multivector.generator(n, k) * coeff
-                prior = terms.get(exps)
-                terms[exps] = mv if prior is None else prior + mv
-    return CliffordPoly(n, terms)
+                terms[exps] = Multivector.generator(n, k) * coeff
+    poly = CliffordPoly(n, terms)
+    poly.terms = MappingProxyType(poly.terms)
+    return poly
 
 
 def expand_multivariate(poly: AppellPoly, n: int) -> CliffordPoly:

@@ -8,10 +8,11 @@ exp sums the truncated generalized exponential.  All arithmetic is exact;
 Output is deterministic: JSON keys are sorted, list orders are fixed by
 the library's canonical term ordering, and CSV uses a fixed header and
 line terminator.  Repeated runs with the same flags produce byte-identical
-bytes regardless of HYPERAPPELL_THREADS.
+bytes.  A negative rational may follow its flag as --lambda -3/5.
 
 Exit status: 0 on success (verify: all checks passed), 1 when verification
-fails, 2 on usage or configuration errors.
+fails, 2 on usage or configuration errors, 3 on an internal error (a bug,
+reported on stderr as one "internal error:" line).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from .appell import (
     exp_truncated,
 )
 from .clifford import Multivector, Paravector
-from .operators import VerifyReport, _thread_count, certify
+from .operators import VerifyReport, certify
 from .rationals import format_rational, parse_rational
 from .trimatrix import (
     TriMatrix,
@@ -44,6 +46,8 @@ from .trimatrix import (
 )
 
 TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
+RATIONAL_FLAGS = ("--lambda", "--c0", "--pascal", "--point")
+NEGATIVE_VALUE = re.compile(r"-\d")
 
 
 class UsageError(Exception):
@@ -436,20 +440,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--lambda -3/5` to `--lambda=-3/5`: argparse reads -3/5 or -1,2 as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in RATIONAL_FLAGS and NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        _thread_count(None)  # reject a malformed HYPERAPPELL_THREADS up front
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0
+    except Exception as exc:
+        # Anything else is a bug, not a failed verification (status 1).
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

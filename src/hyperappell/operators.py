@@ -6,12 +6,13 @@ The generalized Cauchy-Riemann operator and its conjugate are
 
 with Dv = sum_k e_k d/dx_k the vector derivative.  A polynomial is
 monogenic when D annihilates it, and a monogenic sequence is Appell when
-D* acts as degree lowering: D* p_k = k p_{k-1}.  Both statements are
-decided here exactly, by expanding sequence members into multivariate
-polynomials with multivector coefficients and checking that the residuals
-vanish identically.  A failing degree is reported with a concrete witness
-monomial, so negative controls produce usable evidence instead of a bare
-boolean.
+D* acts as degree lowering: D* p_k = k p_{k-1}.  certify decides both
+exactly on the binary form sum a_ij x0^i v^j, where Dv v^j = Ht[j, j-1]
+v^(j-1); distinct x0^i v^j share no expanded monomial, so a zero binary
+residual is an exact zero.  check_monogenic and check_appell, the
+reference route, expand members into multivariate polynomials instead.
+Both report a failing degree with the same witness monomial, so negative
+controls produce usable evidence instead of a bare boolean.
 
 Coefficient-level identities live alongside: the vector derivative acts on
 the column of vector powers through a one-subdiagonal matrix, and the
@@ -23,15 +24,14 @@ routes (matrix arithmetic and the per-entry pattern) that must agree.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .appell import AppellSequence, CoeffSequence, expand_multivariate, vector_power_expansion
+from .appell import AppellPoly, AppellSequence, CoeffSequence, expand_sequence, vector_power_expansion
 from .clifford import Multivector
 from .polynomials import CliffordPoly
-from .trimatrix import TriMatrix, creation_matrix, derivation_matrix
+from .rationals import ZERO
+from .trimatrix import TriMatrix, creation_matrix, derivation_entry, derivation_matrix
 
 HALF = Fraction(1, 2)
 
@@ -77,16 +77,6 @@ class DegreeCheck:
     def passed(self) -> bool:
         return self.monogenic is not False and self.ladder is not False
 
-    def merge(self, other: "DegreeCheck") -> "DegreeCheck":
-        if other.k != self.k:
-            raise ValueError("cannot merge checks for different degrees")
-        return DegreeCheck(
-            k=self.k,
-            monogenic=self.monogenic if other.monogenic is None else other.monogenic,
-            ladder=self.ladder if other.ladder is None else other.ladder,
-            witness=self.witness if self.witness is not None else other.witness,
-        )
-
     def to_json(self) -> dict:
         out: dict = {"k": self.k}
         if self.monogenic is not None:
@@ -114,19 +104,6 @@ class VerifyReport:
             return False
         return all(r.passed for r in self.results)
 
-    def merge(self, other: "VerifyReport") -> "VerifyReport":
-        if (self.n, self.family, self.shift) != (other.n, other.family, other.shift):
-            raise ValueError("cannot merge reports for different sequences")
-        if len(self.results) != len(other.results):
-            raise ValueError("cannot merge reports covering different degrees")
-        return VerifyReport(
-            n=self.n,
-            family=self.family,
-            results=[a.merge(b) for a, b in zip(self.results, other.results)],
-            intertwining=self.intertwining if other.intertwining is None else other.intertwining,
-            shift=self.shift,
-        )
-
     def to_json(self) -> dict:
         out = {
             "n": self.n,
@@ -140,31 +117,9 @@ class VerifyReport:
         return out
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("HYPERAPPELL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"HYPERAPPELL_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
-def _expand_all(seq: AppellSequence, threads: int | None) -> list[CliffordPoly]:
-    count = min(_thread_count(threads), len(seq.polys))
-    if count <= 1:
-        return [expand_multivariate(p, seq.n) for p in seq.polys]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        # map preserves argument order, so results are independent of the
-        # thread count even though completion order is not.
-        return list(pool.map(lambda p: expand_multivariate(p, seq.n), seq.polys))
-
-
-def check_monogenic(seq: AppellSequence, threads: int | None = None) -> VerifyReport:
+def check_monogenic(seq: AppellSequence) -> VerifyReport:
     """D p_k = 0 for every degree, with a witness monomial on failure."""
-    expanded = _expand_all(seq, threads)
+    expanded = expand_sequence(seq)
     results = []
     for k, poly in enumerate(expanded):
         residual = cr_bar(poly)
@@ -175,9 +130,9 @@ def check_monogenic(seq: AppellSequence, threads: int | None = None) -> VerifyRe
     return VerifyReport(n=seq.n, family=seq.family, results=results, shift=seq.shift)
 
 
-def check_appell(seq: AppellSequence, threads: int | None = None) -> VerifyReport:
+def check_appell(seq: AppellSequence) -> VerifyReport:
     """D* p_k = k p_{k-1} for every degree; degree 0 holds vacuously."""
-    expanded = _expand_all(seq, threads)
+    expanded = expand_sequence(seq)
     results = [DegreeCheck(0, ladder=True)]
     for k in range(1, len(expanded)):
         residual = cr(expanded[k]) - expanded[k - 1] * Fraction(k)
@@ -245,28 +200,53 @@ def check_intertwining(n: int, s: int, m: int, coeffs: CoeffSequence) -> bool:
     return matrix_route
 
 
-def certify(seq: AppellSequence, threads: int | None = None) -> VerifyReport:
+def _binary_cr(poly: AppellPoly, n: int, sign: int) -> AppellPoly:
+    """(d/dx0 + sign * Dv) / 2 on the (i, j) terms of poly: Dv v^j = Ht[j, j-1] v^(j-1)."""
+    terms: dict[tuple[int, int], Fraction] = {}
+    for (i, j), a in poly.terms.items():
+        if i:
+            terms[(i - 1, j)] = terms.get((i - 1, j), ZERO) + i * a
+        if j:
+            terms[(i, j - 1)] = terms.get((i, j - 1), ZERO) + sign * derivation_entry(n, j) * a
+    return AppellPoly(poly.degree, terms) * HALF
+
+
+def _binary_witness(residual: AppellPoly, n: int) -> dict:
+    """Graded-lex leading term of the residual expanded over x0..xn.
+
+    x0^i v^j expands into monomials of x0-degree i and total degree i+j; the
+    first is x0^i xn^j, with coefficient (-1)^(j//2), times e_n for odd j.
+    """
+    i, j = min(residual.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))
+    coeff = residual.terms[(i, j)] * (-1) ** (j // 2)
+    blade = Multivector.blade(n, (n,) if j % 2 else (), coeff)
+    return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": blade.to_json()}
+
+
+def certify(seq: AppellSequence) -> VerifyReport:
     """Full certificate: monogenicity, ladder, and the coefficient identity.
 
     Sequences with a positive shift are coefficient skeletons of products
     with an extra monogenic factor that is not represented here; only the
-    intertwining identity applies to them, so the per-degree expansion
-    checks are skipped.
+    intertwining identity applies to them, so the per-degree checks are
+    skipped.
     """
     intertwining = check_intertwining(seq.n, seq.shift, seq.m, seq.coeffs)
-    if seq.shift > 0:
-        return VerifyReport(
-            n=seq.n,
-            family=seq.family,
-            results=[],
-            intertwining=intertwining,
-            shift=seq.shift,
-        )
-    report = check_monogenic(seq, threads).merge(check_appell(seq, threads))
+    results = []
+    if seq.shift == 0:
+        for k, poly in enumerate(seq.polys):
+            monogenic = _binary_cr(poly, seq.n, 1)
+            ladder = AppellPoly(0)  # degree 0 holds vacuously, as in check_appell
+            if k:
+                ladder = _binary_cr(poly, seq.n, -1) + seq.polys[k - 1] * -k
+            # the first nonzero residual gives the witness: monogenic before ladder
+            failed = next((r for r in (monogenic, ladder) if not r.is_zero()), None)
+            witness = None if failed is None else _binary_witness(failed, seq.n)
+            results.append(DegreeCheck(k, monogenic.is_zero(), ladder.is_zero(), witness))
     return VerifyReport(
-        n=report.n,
-        family=report.family,
-        results=report.results,
+        n=seq.n,
+        family=seq.family,
+        results=results,
         intertwining=intertwining,
-        shift=report.shift,
+        shift=seq.shift,
     )

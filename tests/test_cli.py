@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -8,16 +7,11 @@ import pytest
 PKG = "hyperappell"
 
 
-def run_cli(*args, threads=None):
-    env = os.environ.copy()
-    env.pop("HYPERAPPELL_THREADS", None)
-    if threads is not None:
-        env["HYPERAPPELL_THREADS"] = str(threads)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", PKG, *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -390,13 +384,35 @@ def test_repeated_runs_are_byte_identical():
     assert first.stdout == second.stdout
 
 
-def test_thread_env_does_not_change_verify_output():
-    runs = [
-        run_cli("verify", "--n", "2", "--m", "5", threads=t).stdout for t in (1, 4)
-    ]
-    assert runs[0] == runs[1]
+def test_negative_rationals_as_separate_arguments():
+    for *args, flag, value in (
+        ("matrices", "--m", "2", "--family", "frobenius-euler", "--lambda", "-3/5"),
+        ("gen", "--n", "2", "--m", "3", "--c0", "-3/7"),
+        ("matrices", "--m", "3", "--pascal", "-1/2"),
+        ("eval", "--n", "2", "--m", "3", "--point", "-1/2,-1,3"),
+        ("exp", "--n", "1", "--order", "4", "--point", "-1,2/3"),
+    ):
+        attached = run_cli(*args, f"{flag}={value}")
+        separate = run_cli(*args, flag, value)
+        assert attached.returncode == 0, attached.stderr
+        assert (separate.returncode, separate.stdout) == (0, attached.stdout), separate.stderr
 
 
-def test_invalid_thread_env_is_reported():
-    proc = run_cli("verify", "--n", "2", "--m", "2", threads="many")
-    assert proc.returncode != 0
+def test_verify_high_dimension_stays_in_binary_form():
+    # expanding into 201 variables would not finish; the binary form does
+    proc = run_cli("verify", "--n", "200", "--m", "12")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from hyperappell import cli
+
+    def broken(seq):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    assert cli.main(["verify", "--n", "2", "--m", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "injected" in err
+    assert err.count("\n") == 1

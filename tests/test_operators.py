@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperappell.appell import (
+    FAMILIES,
+    AppellPoly,
     CoeffSequence,
     build_family,
     build_phi,
     coefficient_sequence,
     expand_multivariate,
+    vector_power_expansion,
 )
 from hyperappell.clifford import Multivector
 from hyperappell.operators import (
@@ -159,10 +163,65 @@ def test_certify_merges_monogenic_and_ladder():
     assert [r["k"] for r in payload["results"]] == list(range(5))
 
 
-def test_thread_count_does_not_change_reports():
-    seq = build_family(3, 6)
-    reports = [certify(seq, threads=t).to_json() for t in (1, 2, 4)]
-    assert reports[0] == reports[1] == reports[2]
+def reference_report(seq):
+    """certify's JSON, assembled from the expansion-based route."""
+    intertwining = check_intertwining(seq.n, seq.shift, seq.m, seq.coeffs)
+    rows = []
+    for mono_row, ladder_row in zip(
+        check_monogenic(seq).results, check_appell(seq).results
+    ):
+        row = {"k": mono_row.k, "monogenic": mono_row.monogenic, "ladder": ladder_row.ladder}
+        witness = mono_row.witness or ladder_row.witness
+        if witness is not None:
+            row["witness"] = witness
+        rows.append(row)
+    ok = intertwining and all(r["monogenic"] and r["ladder"] for r in rows)
+    return {
+        "n": seq.n,
+        "family": seq.family,
+        "s": seq.shift,
+        "ok": ok,
+        "results": rows,
+        "intertwining": intertwining,
+    }
+
+
+def random_rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 6))
+
+
+def corrupted(seq, rng, insert):
+    """Copy of seq with one term perturbed, or one off-pattern (i, j) term added."""
+    polys = list(seq.polys)
+    k = rng.randrange(len(polys))
+    terms = dict(polys[k].terms)
+    if insert:
+        free = [(i, d - i) for d in range(k + 2) for i in range(d + 1) if (i, d - i) not in terms]
+        key = rng.choice(free)
+        terms[key] = random_rational(rng)
+    else:
+        key = rng.choice(sorted(terms))
+        terms[key] += random_rational(rng)
+    polys[k] = AppellPoly(k, terms)
+    return dataclasses.replace(seq, polys=polys)
+
+
+def test_certify_matches_reference_route():
+    rng = random.Random(31)
+    failures = 0
+    for family in FAMILIES:
+        lam = Fraction(-3, 5) if family == "frobenius-euler" else None
+        for n in range(1, 5):
+            for m in range(9):
+                seq = build_family(n, m, family=family, lam=lam)
+                for case in (seq, corrupted(seq, rng, False), corrupted(seq, rng, True)):
+                    expansions = vector_power_expansion.cache_info()
+                    fast = certify(case).to_json()
+                    assert vector_power_expansion.cache_info() == expansions
+                    assert fast == reference_report(case), (family, n, m)
+                    failures += not fast["ok"]
+    # the corruptions are real: nearly every corrupted case fails
+    assert failures > 300
 
 
 def test_corrupted_coefficient_fails_with_witness():
