@@ -33,10 +33,17 @@ class TriMatrix:
         for i, row in enumerate(rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-            clean.append([Fraction(v) for v in row])
+            clean.append([v if type(v) is Fraction else Fraction(v) for v in row])
         if not clean:
             raise ValueError("a triangular matrix has at least one row")
         self.rows = clean
+
+    @classmethod
+    def _of_rows(cls, rows: list[list[Fraction]]) -> "TriMatrix":
+        """Wrap freshly built rows of Fractions without checking or copying them."""
+        matrix = object.__new__(cls)
+        matrix.rows = rows
+        return matrix
 
     @property
     def order(self) -> int:
@@ -89,7 +96,7 @@ class TriMatrix:
         if not isinstance(other, TriMatrix):
             return NotImplemented
         self._require_same_order(other)
-        return TriMatrix(
+        return TriMatrix._of_rows(
             [
                 [a + b for a, b in zip(row, orow)]
                 for row, orow in zip(self.rows, other.rows)
@@ -100,7 +107,7 @@ class TriMatrix:
         if not isinstance(other, TriMatrix):
             return NotImplemented
         self._require_same_order(other)
-        return TriMatrix(
+        return TriMatrix._of_rows(
             [
                 [a - b for a, b in zip(row, orow)]
                 for row, orow in zip(self.rows, other.rows)
@@ -109,27 +116,29 @@ class TriMatrix:
 
     def scale(self, factor) -> "TriMatrix":
         factor = Fraction(factor)
-        return TriMatrix([[v * factor for v in row] for row in self.rows])
+        return TriMatrix._of_rows([[v * factor for v in row] for row in self.rows])
 
     def __matmul__(self, other: "TriMatrix") -> "TriMatrix":
         """Exact product; the product of lower-triangular matrices is one."""
         if not isinstance(other, TriMatrix):
             return NotImplemented
         self._require_same_order(other)
+        orows = other.rows
         out = []
-        for i in range(self.order + 1):
+        for srow in self.rows:
+            # Only the nonzero entries (k, a) of row i contribute to (i, j).
+            terms = [(k, a) for k, a in enumerate(srow) if a]
             row = []
-            for j in range(i + 1):
-                acc = ZERO
-                for k in range(j, i + 1):
-                    a = self.rows[i][k]
-                    if a:
-                        b = other.rows[k][j]
+            for j in range(len(srow)):
+                acc = None
+                for k, a in terms:
+                    if k >= j:
+                        b = orows[k][j]
                         if b:
-                            acc += a * b
-                row.append(acc)
+                            acc = a * b if acc is None else acc + a * b
+                row.append(ZERO if acc is None else acc)
             out.append(row)
-        return TriMatrix(out)
+        return TriMatrix._of_rows(out)
 
     def apply(self, vector: Sequence) -> list:
         """Matrix action on a vector of ring elements.
