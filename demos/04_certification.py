@@ -19,7 +19,6 @@ from hyperappell import (
     cr,
     cr_bar,
     expand_sequence,
-    shifted_coeffs,
 )
 
 # A full certificate for the Hermite family at n = 3.
@@ -49,5 +48,5 @@ for row in broken.results:
 
 # Shifted coefficient families satisfy the matrix intertwining relation
 # H D + D H~ = O even though they are not themselves monogenic.
-coeffs = shifted_coeffs(2, 1, 8)
+coeffs = coefficient_sequence(2, 8, shift=1)
 print("\nintertwining, n=2 s=1 m=8:", check_intertwining(2, 1, 8, coeffs))

@@ -14,7 +14,6 @@ from .appell import (
     apply_transfer,
     build_family,
     build_phi,
-    canonical_coeffs,
     closed_form_coefficient,
     coefficient_sequence,
     eval_poly,
@@ -22,7 +21,6 @@ from .appell import (
     expand_multivariate,
     expand_sequence,
     restrict_poly,
-    shifted_coeffs,
     vector_power_expansion,
 )
 from .clifford import Multivector, Paravector, blade_product, vector_power
@@ -40,12 +38,14 @@ from .operators import (
     partial_x0,
 )
 from .polynomials import CliffordPoly
-from .rationals import Rational, binomial, double_factorial, format_rational, parse_rational, rational
+from .rationals import Rational, binomial, double_factorial, format_rational, parse_rational
 from .trimatrix import (
     TriMatrix,
+    appell_matrix,
     bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
+    egf_reciprocal,
     euler_transfer,
     frobenius_euler_transfer,
     hermite_transfer,
@@ -69,12 +69,12 @@ __all__ = [
     "TriMatrix",
     "VerifyReport",
     "apply_transfer",
+    "appell_matrix",
     "bernoulli_transfer",
     "binomial",
     "blade_product",
     "build_family",
     "build_phi",
-    "canonical_coeffs",
     "certify",
     "check_appell",
     "check_intertwining",
@@ -88,6 +88,7 @@ __all__ = [
     "derivation_matrix",
     "dirac",
     "double_factorial",
+    "egf_reciprocal",
     "euler_transfer",
     "eval_poly",
     "exp_truncated",
@@ -100,9 +101,7 @@ __all__ = [
     "parse_rational",
     "partial_x0",
     "pascal_matrix",
-    "rational",
     "restrict_poly",
-    "shifted_coeffs",
     "tri_inverse",
     "vector_power",
     "vector_power_expansion",

@@ -116,14 +116,6 @@ def coefficient_sequence(
     return CoeffSequence(n, shift, tuple(values))
 
 
-def canonical_coeffs(n: int, m: int, c0: Fraction = ONE) -> CoeffSequence:
-    return coefficient_sequence(n, m, c0=c0)
-
-
-def shifted_coeffs(n: int, s: int, m: int, c0: Fraction = ONE) -> CoeffSequence:
-    return coefficient_sequence(n, m, c0=c0, shift=s)
-
-
 class AppellPoly:
     """One sequence member in binary form.
 
@@ -263,8 +255,16 @@ class AppellSequence:
 
     @classmethod
     def from_json(cls, payload: dict) -> "AppellSequence":
+        """Load a `to_json` payload, rejecting one no builder could produce."""
         n = int(payload["n"])
+        if n < 1:
+            raise ValueError(f"dimension n must be at least 1, got {n}")
         shift = int(payload.get("s", 0))
+        if shift < 0:
+            raise ValueError(f"shift s must be nonnegative, got {shift}")
+        family = str(payload["family"])
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
         lam = payload.get("lambda")
         coeffs = CoeffSequence(
             n, shift, tuple(parse_rational(c) for c in payload["coeffs"])
@@ -277,13 +277,19 @@ class AppellSequence:
             terms = {}
             for term in entry["terms"]:
                 key = (int(term["i"]), int(term["j"]))
+                if key[0] + key[1] > k:
+                    raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
                 terms[key] = terms.get(key, ZERO) + parse_rational(term["a"])
             polys.append(AppellPoly(k, terms))
         if not polys:
             raise ValueError("sequence must contain at least degree 0")
+        if len(coeffs.values) != len(polys):
+            raise ValueError(
+                f"{len(coeffs.values)} coefficients for degrees 0..{len(polys) - 1}"
+            )
         return cls(
             n=n,
-            family=str(payload["family"]),
+            family=family,
             polys=polys,
             coeffs=coeffs,
             lam=None if lam is None else parse_rational(lam),

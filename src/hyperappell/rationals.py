@@ -19,14 +19,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rational(num: int, den: int = 1) -> Fraction:
-    """Canonical rational num/den (reduced, positive denominator).
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    return Fraction(num, den)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` with integer p, q.
 

@@ -1,21 +1,36 @@
 """Exact lower-triangular matrix algebra.
 
 Everything that drives the polynomial constructions lives on (m+1)x(m+1)
-lower-triangular rational matrices: the creation matrix with subdiagonal
+lower-triangular rational matrices: the creation matrix H with subdiagonal
 1..m, the derivation matrices encoding how the vector derivative acts on
-powers of the vector variable, generalized Pascal matrices obtained as
-terminating exponentials of the creation matrix, and the transfer matrices
-that map the basic sequence onto the Bernoulli, Frobenius-Euler and monic
-Hermite families.  Entries are Fractions throughout; nothing here ever
-rounds.
+powers of the vector variable, generalized Pascal matrices, and the
+transfer matrices that map the basic sequence onto the Bernoulli,
+Frobenius-Euler and monic Hermite families.
+
+H^k has the single nonzero diagonal i!/j! at i - j = k, so f(H) for a power
+series f is the Appell matrix T[i][j] = C(i, j) t_(i-j), where t_k = k! times
+the coefficient of z^k in f: the whole matrix is fixed by its first column
+(see `appell_matrix`).  Each Pascal and transfer matrix is f(H) for one
+series, built from that column in O(m^2):
+
+    Pascal P(x0)        exp(x0 z)
+    Bernoulli           z / (e^z - 1)
+    Euler               2 / (e^z + 1)
+    Frobenius-Euler     (1 - lam) / (e^z - lam)
+    Hermite             exp(-z^2 / 4)
+
+`nilpotent_exp`, `tri_inverse` and `TriMatrix.power` compute the same
+matrices by the defining matrix series and stay as the reference route.
+Entries are Fractions throughout; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
-from .rationals import ONE, ZERO, binomial, format_rational, parse_rational
+from .rationals import ONE, ZERO, format_rational, parse_rational
 
 
 class TriMatrix:
@@ -255,19 +270,44 @@ def nilpotent_exp(matrix: TriMatrix, t: Fraction) -> TriMatrix:
     return result
 
 
+def appell_matrix(column: Sequence[Fraction]) -> TriMatrix:
+    """The Appell matrix T[i][j] = C(i, j) t_(i-j) of the column t_0..t_m.
+
+    This is f(H) for the series f whose exponential generating coefficients
+    (k! [z^k] f) are the t_k; its first column is the t_k themselves.
+    """
+    if not column:
+        raise ValueError("order must be nonnegative")
+    column = [v if type(v) is Fraction else Fraction(v) for v in column]
+    return TriMatrix._of_rows(
+        [
+            [comb(i, j) * column[i - j] for j in range(i + 1)]
+            for i in range(len(column))
+        ]
+    )
+
+
+def egf_reciprocal(g: Sequence[Fraction]) -> list[Fraction]:
+    """Exponential generating coefficients of 1/g, for g_0 != 0.
+
+    Forward substitution on column 0 of g(H) f(H) = I:
+    f_k = -(1/g_0) sum_(l<k) C(k, l) g_(k-l) f_l.
+    """
+    f: list[Fraction] = []
+    for k in range(len(g)):
+        acc = ONE if k == 0 else -sum(comb(k, l) * g[k - l] * f[l] for l in range(k))
+        f.append(acc / g[0])
+    return f
+
+
 def pascal_matrix(x0: Fraction, m: int) -> TriMatrix:
     """Generalized Pascal matrix with entries C(i, j) * x0^(i-j).
 
-    Equals the exponential of x0 times the creation matrix, and satisfies
-    the semigroup law P(a) P(b) = P(a+b).
+    The series is exp(x0 z): P(x0) = exp(x0 H), and the semigroup law
+    P(a) P(b) = P(a+b) holds.
     """
     x0 = Fraction(x0)
-    powers = [ONE]
-    for _ in range(m):
-        powers.append(powers[-1] * x0)
-    return TriMatrix(
-        [[binomial(i, j) * powers[i - j] for j in range(i + 1)] for i in range(m + 1)]
-    )
+    return appell_matrix([x0**k for k in range(m + 1)])
 
 
 def tri_inverse(matrix: TriMatrix) -> TriMatrix:
@@ -292,50 +332,47 @@ def tri_inverse(matrix: TriMatrix) -> TriMatrix:
 def bernoulli_transfer(m: int) -> TriMatrix:
     """Transfer matrix of the generalized Bernoulli sequence.
 
-    The inverse of sum_{k=0..m} H^k / (k+1)! where H is the creation
-    matrix; its first column carries the Bernoulli numbers.
+    f(H) for the series z / (e^z - 1), the reciprocal of (e^z - 1)/z whose
+    exponential generating coefficients are 1/(k+1); equivalently the
+    inverse of sum_{k=0..m} H^k / (k+1)!.  Its first column carries the
+    Bernoulli numbers.
     """
-    h = creation_matrix(m)
-    series = TriMatrix.identity(m).scale(Fraction(1, 1))
-    term = TriMatrix.identity(m)
-    factorial = 1
-    for k in range(1, m + 1):
-        term = term @ h
-        factorial *= k + 1
-        series = series + term.scale(Fraction(1, factorial))
-    return tri_inverse(series)
+    return appell_matrix(egf_reciprocal([Fraction(1, k + 1) for k in range(m + 1)]))
 
 
 def frobenius_euler_transfer(lam: Fraction, m: int) -> TriMatrix:
     """Transfer matrix (1 - lam) (P - lam I)^{-1} with P the Pascal matrix at 1.
 
-    Every eigenvalue of P equals 1, so any rational lam != 1 is admissible.
+    f(H) for the series (1 - lam) / (e^z - lam); e^z - lam has exponential
+    generating coefficients (1 - lam, 1, 1, ...).  Every eigenvalue of P
+    equals 1, so any rational lam != 1 is admissible.
     """
     lam = Fraction(lam)
     if lam == 1:
         raise ZeroDivisionError("lambda = 1 makes the transfer matrix singular")
-    shifted = pascal_matrix(ONE, m) - TriMatrix.identity(m).scale(lam)
-    return tri_inverse(shifted).scale(ONE - lam)
+    series = [ONE - lam if k == 0 else ONE for k in range(m + 1)]
+    return appell_matrix([(ONE - lam) * f for f in egf_reciprocal(series)])
 
 
 def euler_transfer(m: int) -> TriMatrix:
-    """Transfer matrix of the generalized Euler sequence: 2 (P + I)^{-1}."""
+    """Transfer matrix of the generalized Euler sequence: 2 (P + I)^{-1}.
+
+    f(H) for the series 2 / (e^z + 1), the Frobenius-Euler one at lam = -1.
+    """
     return frobenius_euler_transfer(Fraction(-1), m)
 
 
 def hermite_transfer(m: int) -> TriMatrix:
     """Transfer matrix of the monic Hermite sequence.
 
-    The terminating series sum_k (-H^2)^k / (2^(2k) k!) with H the creation
-    matrix, i.e. exp(-H^2/4).
+    f(H) for the series exp(-z^2/4), i.e. the terminating sum
+    sum_k (-H^2)^k / (2^(2k) k!) with H the creation matrix.  The column
+    has t_(2k) = (-1)^k (2k)! / (4^k k!) = -(2k-1)/2 t_(2k-2), odd entries 0.
     """
-    h = creation_matrix(m)
-    h2 = h @ h
-    result = TriMatrix.identity(m)
-    term = TriMatrix.identity(m)
-    for k in range(1, m // 2 + 1):
-        term = (term @ h2).scale(Fraction(-1, 4 * k))
-        if term.is_zero():
-            break
-        result = result + term
-    return result
+    column = []
+    for k in range(m + 1):
+        if k % 2:
+            column.append(ZERO)
+        else:
+            column.append(column[-2] * Fraction(1 - k, 2) if k else ONE)
+    return appell_matrix(column)

@@ -13,14 +13,12 @@ from hyperappell.appell import (
     apply_transfer,
     build_family,
     build_phi,
-    canonical_coeffs,
     closed_form_coefficient,
     coefficient_sequence,
     eval_poly,
     exp_truncated,
     expand_multivariate,
     restrict_poly,
-    shifted_coeffs,
     vector_power_expansion,
 )
 from hyperappell.clifford import Multivector, Paravector
@@ -55,11 +53,6 @@ def test_coefficients_shifted_values():
     for n in range(1, 5):
         zero_shift = coefficient_sequence(n, 8, shift=0)
         assert zero_shift == coefficient_sequence(n, 8)
-
-
-def test_named_builders_are_the_same_construction():
-    assert canonical_coeffs(3, 6) == coefficient_sequence(3, 6)
-    assert shifted_coeffs(3, 2, 6) == coefficient_sequence(3, 6, shift=2)
 
 
 def test_recurrence_matches_closed_form_on_grid():

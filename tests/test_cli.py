@@ -193,6 +193,49 @@ def test_verify_garbage_input(tmp_path):
     assert proc.returncode == 2
 
 
+def _set_family(payload):
+    payload["family"] = "nonsense"
+
+
+def _set_n_zero(payload):
+    payload["n"] = 0
+
+
+def _add_term_above_degree(payload):
+    payload["polys"][2]["terms"].append({"i": 5, "j": 3, "a": "1"})
+
+
+def _set_negative_shift(payload):
+    payload["s"] = -1
+
+
+def _drop_coefficient(payload):
+    payload["coeffs"].pop()
+
+
+# Each edit was seen on a hand-edited gen file and used to exit 0 or 1.
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        (["verify"], _set_family),
+        (["eval", "--point", "1"], _set_n_zero),
+        (["verify"], _add_term_above_degree),
+        (["verify"], _set_negative_shift),
+        (["verify"], _drop_coefficient),
+    ],
+    ids=["unknown-family", "n-zero", "term-above-degree", "negative-shift", "short-coeffs"],
+)
+def test_malformed_input_file_exits_2(tmp_path, command, edit):
+    payload = gen_json("--n", "2", "--m", "3")
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli(command[0], "--input", str(path), *command[1:])
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 # -- eval --------------------------------------------------------------------
 
 

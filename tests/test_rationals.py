@@ -10,7 +10,6 @@ from hyperappell.rationals import (
     double_factorial,
     format_rational,
     parse_rational,
-    rational,
 )
 
 
@@ -42,13 +41,8 @@ def test_format_reduced():
 
 @given(st.integers(), st.integers().filter(bool))
 def test_parse_format_round_trip(p, q):
-    value = rational(p, q)
+    value = Fraction(p, q)
     assert parse_rational(format_rational(value)) == value
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 def test_binomial_matches_comb():

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperappell.trimatrix import (
     TriMatrix,
+    appell_matrix,
     bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
@@ -16,7 +19,25 @@ from hyperappell.trimatrix import (
     tri_inverse,
 )
 
-from oracles import bernoulli_numbers, dense_creation, dense_identity, dense_mul
+from oracles import (
+    bernoulli_numbers,
+    dense_add,
+    dense_creation,
+    dense_identity,
+    dense_inverse,
+    dense_mul,
+    dense_pascal_one,
+    dense_scale,
+)
+
+# The transfer builders are checked against the slow routes for every order
+# up to this one: dense Gauss-Jordan inverses and the defining matrix series.
+SLOW_ROUTE_MAX_M = 20
+
+
+def lower_part(dense, m):
+    """Rows of the leading (m+1)x(m+1) block of a dense lower-triangular matrix."""
+    return [row[: i + 1] for i, row in enumerate(dense[: m + 1])]
 
 
 def test_shape_validation():
@@ -131,7 +152,7 @@ def test_tri_inverse_singular():
 
 def test_bernoulli_transfer_first_column():
     # column 0 carries the Bernoulli numbers
-    m = 8
+    m = 40
     transfer = bernoulli_transfer(m)
     numbers = bernoulli_numbers(m)
     assert [transfer[i, 0] for i in range(m + 1)] == numbers
@@ -149,6 +170,47 @@ def test_bernoulli_transfer_defining_identity():
         acc = acc + term.scale(Fraction(1, fact))
         term = term @ h
     assert bernoulli_transfer(m) @ acc == TriMatrix.identity(m)
+
+
+def test_bernoulli_transfer_matches_dense_inverse():
+    # Leading blocks of lower-triangular matrices multiply and invert on
+    # their own, so one dense inverse at the largest order covers every m.
+    top = SLOW_ROUTE_MAX_M
+    h = dense_creation(top)
+    series = dense_identity(top + 1)
+    term = dense_identity(top + 1)
+    fact = 1
+    for k in range(1, top + 1):
+        fact *= k + 1  # (k+1)!
+        term = dense_mul(term, h)
+        series = dense_add(series, dense_scale(term, Fraction(1, fact)))
+    expected = dense_inverse(series)
+    for m in range(top + 1):
+        assert bernoulli_transfer(m).rows == lower_part(expected, m), m
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda v: v != 1))
+@example(Fraction(0))
+@example(Fraction(-1))
+@example(Fraction(-4, 7))
+@example(Fraction(3, 2))
+def test_frobenius_euler_transfer_matches_dense_inverse(lam):
+    top = SLOW_ROUTE_MAX_M
+    shifted = dense_add(dense_pascal_one(top), dense_scale(dense_identity(top + 1), -lam))
+    expected = dense_scale(dense_inverse(shifted), 1 - lam)
+    for m in range(top + 1):
+        assert frobenius_euler_transfer(lam, m).rows == lower_part(expected, m), (lam, m)
+
+
+def test_transfer_builders_reject_negative_order():
+    for build in (bernoulli_transfer, euler_transfer, hermite_transfer):
+        with pytest.raises(ValueError):
+            build(-1)
+    with pytest.raises(ValueError):
+        frobenius_euler_transfer(Fraction(2), -1)
+    with pytest.raises(ValueError):
+        appell_matrix([])
 
 
 def test_euler_transfer_small():
@@ -177,10 +239,10 @@ def test_hermite_transfer_small():
 
 
 def test_hermite_transfer_is_exp_of_minus_h_squared_quarter():
-    m = 7
-    h = creation_matrix(m)
-    h2 = (h @ h).scale(Fraction(-1, 4))
-    assert hermite_transfer(m) == nilpotent_exp(h2, Fraction(1))
+    for m in range(SLOW_ROUTE_MAX_M + 1):
+        h = creation_matrix(m)
+        h2 = (h @ h).scale(Fraction(-1, 4))
+        assert hermite_transfer(m) == nilpotent_exp(h2, Fraction(1)), m
 
 
 def test_apply_on_rationals_matches_dense():
