@@ -38,8 +38,9 @@ from .operators import (
     partial_x0,
 )
 from .polynomials import CliffordPoly
-from .rationals import Rational, binomial, double_factorial, format_rational, parse_rational
+from .rationals import Rational, binomial, double_factorial, parse_rational, read_rational
 from .trimatrix import (
+    TRANSFER_FAMILIES,
     TriMatrix,
     appell_matrix,
     bernoulli_transfer,
@@ -51,6 +52,7 @@ from .trimatrix import (
     hermite_transfer,
     nilpotent_exp,
     pascal_matrix,
+    transfer_matrix,
     tri_inverse,
 )
 
@@ -66,6 +68,7 @@ __all__ = [
     "Multivector",
     "Paravector",
     "Rational",
+    "TRANSFER_FAMILIES",
     "TriMatrix",
     "VerifyReport",
     "apply_transfer",
@@ -94,14 +97,15 @@ __all__ = [
     "exp_truncated",
     "expand_multivariate",
     "expand_sequence",
-    "format_rational",
     "frobenius_euler_transfer",
     "hermite_transfer",
     "nilpotent_exp",
     "parse_rational",
     "partial_x0",
     "pascal_matrix",
+    "read_rational",
     "restrict_poly",
+    "transfer_matrix",
     "tri_inverse",
     "vector_power",
     "vector_power_expansion",

@@ -32,16 +32,10 @@ from typing import Iterator, Mapping
 
 from .clifford import Multivector, Paravector, vector_power
 from .polynomials import CliffordPoly
-from .rationals import ONE, ZERO, binomial, double_factorial, format_rational, parse_rational
-from .trimatrix import (
-    TriMatrix,
-    bernoulli_transfer,
-    euler_transfer,
-    frobenius_euler_transfer,
-    hermite_transfer,
-)
+from .rationals import ONE, ZERO, binomial, read_rational
+from .trimatrix import TRANSFER_FAMILIES, TriMatrix, transfer_matrix
 
-FAMILIES = ("canonical", "bernoulli", "euler", "frobenius-euler", "hermite")
+FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -73,13 +67,13 @@ class CoeffSequence:
 def closed_form_coefficient(n: int, k: int, c0: Fraction = ONE, shift: int = 0) -> Fraction:
     """c_k by the double-factorial formula (valid for all n >= 1).
 
-    c_{2r} = c_{2r-1} = (2r-1)!! (n+2s-2)!! / (n+2r+2s-2)!! * c_0.
+    c_{2r} = c_{2r-1} = (2r-1)!! (n+2s-2)!! / (n+2r+2s-2)!! * c_0; the ratio
+    of the last two is 1 / prod_{t=1..r} (n+2s-2+2t), r factors for any n.
     """
-    if k == 0:
-        return Fraction(c0)
-    r = (k + 1) // 2
-    num = double_factorial(2 * r - 1) * double_factorial(n + 2 * shift - 2)
-    den = double_factorial(n + 2 * r + 2 * shift - 2)
+    num = den = 1
+    for t in range(1, (k + 1) // 2 + 1):
+        num *= 2 * t - 1
+        den *= n + 2 * shift - 2 + 2 * t
     return Fraction(num, den) * Fraction(c0)
 
 
@@ -192,7 +186,7 @@ class AppellPoly:
         for (i, j), coeff in self.sorted_terms():
             factors = []
             if abs(coeff) != 1 or (i == 0 and j == 0):
-                factors.append(format_rational(abs(coeff)))
+                factors.append(str(abs(coeff)))
             if i:
                 factors.append("x0" if i == 1 else f"x0^{i}")
             if j:
@@ -237,15 +231,15 @@ class AppellSequence:
         return {
             "n": self.n,
             "family": self.family,
-            "lambda": None if self.lam is None else format_rational(self.lam),
+            "lambda": None if self.lam is None else str(self.lam),
             "s": self.shift,
             "m": self.m,
-            "coeffs": [format_rational(c) for c in self.coeffs.values],
+            "coeffs": [str(c) for c in self.coeffs.values],
             "polys": [
                 {
                     "k": k,
                     "terms": [
-                        {"i": i, "j": j, "a": format_rational(a)}
+                        {"i": i, "j": j, "a": str(a)}
                         for (i, j), a in poly.sorted_terms()
                     ],
                 }
@@ -255,44 +249,45 @@ class AppellSequence:
 
     @classmethod
     def from_json(cls, payload: dict) -> "AppellSequence":
-        """Load a `to_json` payload, rejecting one no builder could produce."""
-        n = int(payload["n"])
+        """Load a `to_json` payload, rejecting one no builder could produce.
+
+        Integers must be JSON integers, and c_0..c_m those of n, s and c_0.
+        """
+        n = _json_int(payload["n"], "n")
         if n < 1:
             raise ValueError(f"dimension n must be at least 1, got {n}")
-        shift = int(payload.get("s", 0))
+        shift = _json_int(payload.get("s", 0), "s")
         if shift < 0:
             raise ValueError(f"shift s must be nonnegative, got {shift}")
-        family = str(payload["family"])
+        family = payload["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
         lam = payload.get("lambda")
-        coeffs = CoeffSequence(
-            n, shift, tuple(parse_rational(c) for c in payload["coeffs"])
-        )
+        values = tuple(read_rational(c, "coefficient") for c in payload["coeffs"])
         polys = []
-        for entry in sorted(payload["polys"], key=lambda e: int(e["k"])):
-            k = int(entry["k"])
+        for entry in sorted(payload["polys"], key=lambda e: _json_int(e["k"], "k")):
+            k = entry["k"]
             if k != len(polys):
                 raise ValueError(f"polynomial degrees must cover 0..m, missing {len(polys)}")
             terms = {}
             for term in entry["terms"]:
-                key = (int(term["i"]), int(term["j"]))
+                key = (_json_int(term["i"], "i"), _json_int(term["j"], "j"))
                 if key[0] + key[1] > k:
                     raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
-                terms[key] = terms.get(key, ZERO) + parse_rational(term["a"])
+                terms[key] = terms.get(key, ZERO) + read_rational(term["a"], "term coefficient")
             polys.append(AppellPoly(k, terms))
         if not polys:
             raise ValueError("sequence must contain at least degree 0")
-        if len(coeffs.values) != len(polys):
-            raise ValueError(
-                f"{len(coeffs.values)} coefficients for degrees 0..{len(polys) - 1}"
-            )
+        m = len(polys) - 1
+        coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
+        if coeffs.values != values:
+            raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
         return cls(
             n=n,
             family=family,
             polys=polys,
             coeffs=coeffs,
-            lam=None if lam is None else parse_rational(lam),
+            lam=None if lam is None else read_rational(lam, "lambda"),
             shift=shift,
         )
 
@@ -300,7 +295,13 @@ class AppellSequence:
         """One (k, i, j, a) row per stored term."""
         for k, poly in enumerate(self.polys):
             for (i, j), a in poly.sorted_terms():
-                yield k, i, j, format_rational(a)
+                yield k, i, j, str(a)
+
+
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # refuses bools and floats instead of casting them
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def build_phi(coeffs: CoeffSequence, m: int | None = None) -> AppellSequence:
@@ -354,25 +355,19 @@ def build_family(
     lam: Fraction | None = None,
     shift: int = 0,
 ) -> AppellSequence:
-    """Construct a named sequence: the basic one, or a transfer applied to it."""
+    """Construct a named sequence: the basic one, or a transfer applied to it.
+
+    Only frobenius-euler takes `lam`: `transfer_matrix` decides.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if shift > 0 and family != "canonical":
         raise ValueError("shifted coefficients are only defined for the canonical family")
     base = build_phi(coefficient_sequence(n, m, c0=c0, shift=shift))
-    if family == "canonical":
+    if family == "canonical" and lam is None:
         return base
-    if family == "bernoulli":
-        return apply_transfer(bernoulli_transfer(m), base, family)
-    if family == "euler":
-        return apply_transfer(euler_transfer(m), base, family)
-    if family == "hermite":
-        return apply_transfer(hermite_transfer(m), base, family)
-    if lam is None:
-        raise ValueError("frobenius-euler requires a lambda parameter")
-    return apply_transfer(
-        frobenius_euler_transfer(lam, m), base, "frobenius-euler", lam=Fraction(lam)
-    )
+    transfer = transfer_matrix(family, m, lam)
+    return apply_transfer(transfer, base, family, lam=None if lam is None else Fraction(lam))
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -23,7 +23,6 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .appell import (
     FAMILIES,
@@ -33,41 +32,27 @@ from .appell import (
 )
 from .clifford import Multivector, Paravector
 from .operators import VerifyReport, certify
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational, read_rational
 from .trimatrix import (
+    TRANSFER_FAMILIES,
     TriMatrix,
-    bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
-    euler_transfer,
-    frobenius_euler_transfer,
-    hermite_transfer,
     pascal_matrix,
+    transfer_matrix,
 )
 
-TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
 RATIONAL_FLAGS = ("--lambda", "--c0", "--pascal", "--point")
 NEGATIVE_VALUE = re.compile(r"-\d")
-
-
-class UsageError(Exception):
-    """Bad flags or bad input values; maps to exit status 2."""
-
-
-def _rational_arg(text: str, flag: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} expects an exact rational like 3 or -3/4: {exc}")
 
 
 def _parse_point(text: str, n: int) -> Paravector:
     parts = text.split(",")
     if len(parts) != n + 1:
-        raise UsageError(
+        raise ValueError(
             f"--point needs {n + 1} comma-separated components (x0..x{n}), got {len(parts)}"
         )
-    coords = [_rational_arg(p.strip(), "--point") for p in parts]
+    coords = [read_rational(p, "--point") for p in parts]
     return Paravector(coords[0], tuple(coords[1:]))
 
 
@@ -75,11 +60,13 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows, with_float: bool) -> str:
+    """CSV whose last column is exact; --float appends it as an "approx" column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(header + ["approx"] if with_float else header)
+    for row in rows:
+        writer.writerow([*row, float(parse_rational(row[-1]))] if with_float else row)
     return buf.getvalue()
 
 
@@ -99,8 +86,12 @@ def _mv_json(mv: Multivector, with_float: bool) -> dict:
     return payload
 
 
-def _blade_label(indices: list[int]) -> str:
-    return "e" + "".join(str(k) for k in indices) if indices else "1"
+def _mv_rows(mv: Multivector) -> list[list[str]]:
+    """One (blade label, exact coefficient) CSV row per term."""
+    return [
+        ["e" + "".join(map(str, term["blade"])) if term["blade"] else "1", term["coeff"]]
+        for term in mv.to_json()["terms"]
+    ]
 
 
 # -- sequence construction from flags ------------------------------------
@@ -108,44 +99,25 @@ def _blade_label(indices: list[int]) -> str:
 
 def _sequence_from_flags(args) -> AppellSequence:
     if args.n is None or args.m is None:
-        raise UsageError("--n and --m are required when --input is not given")
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.m < 0:
-        raise UsageError("--m must be nonnegative")
-    if args.shift < 0:
-        raise UsageError("--shift must be nonnegative")
-    lam = None
-    if args.lam is not None:
-        if args.family != "frobenius-euler":
-            raise UsageError("--lambda only applies to --family frobenius-euler")
-        lam = _rational_arg(args.lam, "--lambda")
-        if lam == 1:
-            raise UsageError("--lambda must differ from 1")
-    elif args.family == "frobenius-euler":
-        raise UsageError("--family frobenius-euler requires --lambda")
-    c0 = _rational_arg(args.c0, "--c0")
-    try:
-        return build_family(
-            args.n, args.m, family=args.family, c0=c0, lam=lam, shift=args.shift
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("--n and --m are required when --input is not given")
+    c0 = read_rational(args.c0, "--c0")
+    lam = None if args.lam is None else read_rational(args.lam, "--lambda")
+    return build_family(args.n, args.m, family=args.family, c0=c0, lam=lam, shift=args.shift)
 
 
 def _load_sequence(args) -> AppellSequence:
     if args.input is None:
         return _sequence_from_flags(args)
     if args.n is not None or args.m is not None:
-        raise UsageError("--input replaces --n/--m; give one or the other")
+        raise ValueError("--input replaces --n/--m; give one or the other")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return AppellSequence.from_json(payload)
     except OSError as exc:
-        raise UsageError(f"cannot read {args.input}: {exc}")
+        raise ValueError(f"cannot read {args.input}: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"{args.input} is not a valid sequence file: {exc}")
+        raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -159,18 +131,12 @@ def cmd_gen(args) -> int:
             payload["coeffs_approx"] = [float(c) for c in seq.coeffs.values]
         text = _dump_json(payload)
     elif args.format == "csv":
-        header = ["k", "i", "j", "a"]
-        rows: list[list] = [list(row) for row in seq.csv_rows()]
-        if args.float:
-            header.append("approx")
-            for row in rows:
-                row.append(float(parse_rational(row[3])))
-        text = _csv_text(header, rows)
+        text = _csv_text(["k", "i", "j", "a"], seq.csv_rows(), args.float)
     else:
         lines = [f"family: {seq.family}  n: {seq.n}  m: {seq.m}  s: {seq.shift}"]
         if seq.lam is not None:
-            lines.append(f"lambda: {format_rational(seq.lam)}")
-        lines.append("coeffs: " + ", ".join(format_rational(c) for c in seq.coeffs.values))
+            lines.append(f"lambda: {seq.lam}")
+        lines.append("coeffs: " + ", ".join(map(str, seq.coeffs.values)))
         for k, poly in enumerate(seq.polys):
             lines.append(f"phi_{k} = {poly}")
         text = "\n".join(lines) + "\n"
@@ -202,14 +168,8 @@ def _pretty_report(report: VerifyReport) -> str:
 
 
 def cmd_verify(args) -> int:
-    seq = _load_sequence(args)
-    report = certify(seq)
-    if args.format == "json":
-        text = _dump_json(report.to_json())
-    elif args.format == "pretty":
-        text = _pretty_report(report)
-    else:
-        raise UsageError("verify supports --format json or pretty")
+    report = certify(_load_sequence(args))
+    text = _dump_json(report.to_json()) if args.format == "json" else _pretty_report(report)
     _emit(text, args.output)
     return 0 if report.ok else 1
 
@@ -223,8 +183,7 @@ def cmd_eval(args) -> int:
             "family": seq.family,
             "n": seq.n,
             "m": seq.m,
-            "point": [format_rational(point.x0)]
-            + [format_rational(v) for v in point.vec],
+            "point": [str(v) for v in (point.x0, *point.vec)],
             "values": [
                 {"k": k, "value": _mv_json(mv, args.float)}
                 for k, mv in enumerate(values)
@@ -232,17 +191,8 @@ def cmd_eval(args) -> int:
         }
         text = _dump_json(payload)
     elif args.format == "csv":
-        header = ["k", "blade", "coeff"]
-        if args.float:
-            header.append("approx")
-        rows = []
-        for k, mv in enumerate(values):
-            for term in mv.to_json()["terms"]:
-                row = [k, _blade_label(term["blade"]), term["coeff"]]
-                if args.float:
-                    row.append(float(parse_rational(term["coeff"])))
-                rows.append(row)
-        text = _csv_text(header, rows)
+        rows = [[k, *row] for k, mv in enumerate(values) for row in _mv_rows(mv)]
+        text = _csv_text(["k", "blade", "coeff"], rows, args.float)
     else:
         lines = [f"phi_{k}(x) = {mv}" for k, mv in enumerate(values)]
         text = "\n".join(lines) + "\n"
@@ -251,10 +201,6 @@ def cmd_eval(args) -> int:
 
 
 def _matrix_from_flags(args) -> TriMatrix:
-    if args.m is None:
-        raise UsageError("--m is required")
-    if args.m < 0:
-        raise UsageError("--m must be nonnegative")
     chosen = [
         name
         for name, on in (
@@ -265,41 +211,23 @@ def _matrix_from_flags(args) -> TriMatrix:
         if on
     ]
     if len(chosen) > 1:
-        raise UsageError(f"{' and '.join(chosen)} are mutually exclusive")
+        raise ValueError(f"{' and '.join(chosen)} are mutually exclusive")
+    if args.lam is not None and args.family is None:
+        raise ValueError("--lambda only applies to --family frobenius-euler")
     if args.tilde:
         if args.n is None:
-            raise UsageError("--tilde needs --n")
-        if args.n < 1:
-            raise UsageError("--n must be at least 1")
-        if args.shift < 0:
-            raise UsageError("--shift must be nonnegative")
+            raise ValueError("--tilde needs --n")
         return derivation_matrix(args.n, args.m, shift=args.shift)
     if args.shift:
-        raise UsageError("--shift only applies to --tilde")
+        raise ValueError("--shift only applies to --tilde")
     if args.n is not None:
-        raise UsageError("--n only applies to --tilde")
+        raise ValueError("--n only applies to --tilde")
     if args.pascal is not None:
-        return pascal_matrix(_rational_arg(args.pascal, "--pascal"), args.m)
-    if args.family is None:
-        if args.lam is not None:
-            raise UsageError("--lambda only applies to --family frobenius-euler")
-        return creation_matrix(args.m)
-    if args.family == "bernoulli":
-        transfer = bernoulli_transfer
-    elif args.family == "euler":
-        transfer = euler_transfer
-    elif args.family == "hermite":
-        transfer = hermite_transfer
-    else:
-        if args.lam is None:
-            raise UsageError("--family frobenius-euler requires --lambda")
-        lam = _rational_arg(args.lam, "--lambda")
-        if lam == 1:
-            raise UsageError("--lambda must differ from 1")
-        return frobenius_euler_transfer(lam, args.m)
-    if args.lam is not None:
-        raise UsageError("--lambda only applies to --family frobenius-euler")
-    return transfer(args.m)
+        return pascal_matrix(read_rational(args.pascal, "--pascal"), args.m)
+    if args.family is not None:
+        lam = None if args.lam is None else read_rational(args.lam, "--lambda")
+        return transfer_matrix(args.family, args.m, lam)
+    return creation_matrix(args.m)
 
 
 def cmd_matrices(args) -> int:
@@ -310,19 +238,10 @@ def cmd_matrices(args) -> int:
             payload["rows_approx"] = [[float(v) for v in row] for row in matrix.rows]
         text = _dump_json(payload)
     elif args.format == "csv":
-        header = ["i", "j", "value"]
-        if args.float:
-            header.append("approx")
-        rows = []
-        for i, row in enumerate(matrix.rows):
-            for j, value in enumerate(row):
-                out = [i, j, format_rational(value)]
-                if args.float:
-                    out.append(float(value))
-                rows.append(out)
-        text = _csv_text(header, rows)
+        rows = [[i, j, str(v)] for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
+        text = _csv_text(["i", "j", "value"], rows, args.float)
     else:
-        cells = [[format_rational(v) for v in row] for row in matrix.rows]
+        cells = [[str(v) for v in row] for row in matrix.rows]
         width = max(len(c) for row in cells for c in row)
         lines = [" ".join(c.rjust(width) for c in row) for row in cells]
         text = "\n".join(lines) + "\n"
@@ -331,32 +250,18 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.order < 0:
-        raise UsageError("--order must be nonnegative")
     point = _parse_point(args.point, args.n)
     value = exp_truncated(point, args.order)
     if args.format == "json":
         payload = {
             "n": args.n,
             "order": args.order,
-            "point": [format_rational(point.x0)]
-            + [format_rational(v) for v in point.vec],
+            "point": [str(v) for v in (point.x0, *point.vec)],
             "value": _mv_json(value, args.float),
         }
         text = _dump_json(payload)
     elif args.format == "csv":
-        header = ["blade", "coeff"]
-        if args.float:
-            header.append("approx")
-        rows = []
-        for term in value.to_json()["terms"]:
-            row = [_blade_label(term["blade"]), term["coeff"]]
-            if args.float:
-                row.append(float(parse_rational(term["coeff"])))
-            rows.append(row)
-        text = _csv_text(header, rows)
+        text = _csv_text(["blade", "coeff"], _mv_rows(value), args.float)
     else:
         text = f"Exp_{args.n}(x) truncated at {args.order}: {value}\n"
     _emit(text, args.output)
@@ -456,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rationals import ONE, ZERO, format_rational, parse_rational
+from .rationals import ONE, ZERO, parse_rational
 
 BladeMask = int
 
@@ -109,9 +109,6 @@ class Multivector:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_scalar(self) -> bool:
-        return all(mask == 0 for mask in self.terms)
 
     def scalar_part(self) -> Fraction:
         return self.terms.get(0, ZERO)
@@ -232,9 +229,9 @@ class Multivector:
         for mask, coeff in self.sorted_terms():
             blade = "e" + "".join(str(k) for k in mask_to_indices(mask)) if mask else ""
             if blade:
-                body = blade if abs(coeff) == 1 else f"{format_rational(abs(coeff))}*{blade}"
+                body = blade if abs(coeff) == 1 else f"{abs(coeff)}*{blade}"
             else:
-                body = format_rational(abs(coeff))
+                body = str(abs(coeff))
             sign = "-" if coeff < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
@@ -250,7 +247,7 @@ class Multivector:
         return {
             "n": self.n,
             "terms": [
-                {"blade": list(mask_to_indices(mask)), "coeff": format_rational(coeff)}
+                {"blade": list(mask_to_indices(mask)), "coeff": str(coeff)}
                 for mask, coeff in self.sorted_terms()
             ],
         }

@@ -137,9 +137,6 @@ class CliffordPoly:
             acc = acc + coeff * scale
         return acc
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[ExponentIndex, Multivector]]:
         """Terms in graded-lexicographic order of the multi-index."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))

@@ -31,9 +31,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(body))
 
 
-def format_rational(value: Fraction) -> str:
-    """Lowest-terms string form, ``"p/q"`` or ``"p"`` when q == 1."""
-    return str(value)
+def read_rational(value, name: str) -> Fraction:
+    """`parse_rational` for input from outside the program.
+
+    Every refusal, a zero denominator or a value that is not a string
+    included, is a ValueError that names the field.
+    """
+    try:
+        if isinstance(value, str):
+            return parse_rational(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{name} expects an exact rational like 3 or -3/4, got {value!r}")
 
 
 def binomial(i: int, j: int) -> int:

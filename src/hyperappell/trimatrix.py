@@ -30,7 +30,9 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .rationals import ONE, ZERO, format_rational, parse_rational
+from .rationals import ONE, ZERO, parse_rational
+
+TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
 
 
 class TriMatrix:
@@ -188,15 +190,13 @@ class TriMatrix:
         return result
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(format_rational(v) for v in row) for row in self.rows
-        )
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"TriMatrix[{body}]"
 
     def to_json(self) -> dict:
         return {
             "m": self.order,
-            "rows": [[format_rational(v) for v in row] for row in self.rows],
+            "rows": [[str(v) for v in row] for row in self.rows],
         }
 
     @classmethod
@@ -376,3 +376,25 @@ def hermite_transfer(m: int) -> TriMatrix:
         else:
             column.append(column[-2] * Fraction(1 - k, 2) if k else ONE)
     return appell_matrix(column)
+
+
+def transfer_matrix(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
+    """The builder above for a family in TRANSFER_FAMILIES.
+
+    Only frobenius-euler takes `lam`, and needs one other than 1.
+    """
+    if family == "frobenius-euler":
+        if lam is None:
+            raise ValueError("frobenius-euler requires a lambda parameter")
+        if lam == 1:
+            raise ValueError("lambda must differ from 1")
+        return frobenius_euler_transfer(lam, m)
+    if lam is not None:
+        raise ValueError(f"lambda only applies to the frobenius-euler family, not {family!r}")
+    if family == "bernoulli":
+        return bernoulli_transfer(m)
+    if family == "euler":
+        return euler_transfer(m)
+    if family == "hermite":
+        return hermite_transfer(m)
+    raise ValueError(f"unknown transfer family {family!r}; expected one of {TRANSFER_FAMILIES}")

@@ -22,6 +22,7 @@ from hyperappell.appell import (
     vector_power_expansion,
 )
 from hyperappell.clifford import Multivector, Paravector
+from hyperappell.rationals import double_factorial
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.trimatrix import TriMatrix, bernoulli_transfer, creation_matrix, nilpotent_exp
 
@@ -61,6 +62,18 @@ def test_recurrence_matches_closed_form_on_grid():
             cs = coefficient_sequence(n, 12, shift=s)
             for k, value in enumerate(cs.values):
                 assert value == closed_form_coefficient(n, k, shift=s)
+
+
+def test_closed_form_is_the_double_factorial_formula():
+    # c_k = (2r-1)!! (n+2s-2)!! / (n+2r+2s-2)!! c_0 with r = ceil(k/2), as double factorials
+    c0 = Fraction(-3, 7)
+    for n in range(1, 10):
+        for s in range(4):
+            for k in range(13):
+                r = (k + 1) // 2
+                num = double_factorial(2 * r - 1) * double_factorial(n + 2 * s - 2)
+                den = double_factorial(n + 2 * r + 2 * s - 2)
+                assert closed_form_coefficient(n, k, c0=c0, shift=s) == Fraction(num, den) * c0
 
 
 def test_coefficients_scale_linearly_in_c0():
@@ -307,6 +320,12 @@ def test_family_validation():
         build_family(2, 3, family="frobenius-euler")  # lambda missing
     with pytest.raises(ValueError):
         build_family(2, 3, family="bernoulli", shift=1)
+    with pytest.raises(ValueError):
+        build_family(2, 3, family="frobenius-euler", lam=1)
+    # lambda belongs to frobenius-euler alone
+    for family in ("canonical", "bernoulli", "euler", "hermite"):
+        with pytest.raises(ValueError):
+            build_family(2, 3, family=family, lam=Fraction(2))
 
 
 def test_frobenius_euler_at_minus_one_is_euler():

@@ -1,17 +1,26 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperappell import build_family, cli
 
 PKG = "hyperappell"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", PKG, *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -213,7 +222,19 @@ def _drop_coefficient(payload):
     payload["coeffs"].pop()
 
 
-# Each edit was seen on a hand-edited gen file and used to exit 0 or 1.
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(payload):
+        node = payload
+        for step in path:
+            node = node[step]
+        node[key] = value
+
+    return edit
+
+
+# Each edit was seen on a hand-edited gen file and used to exit 0, 1 or 3.
 @pytest.mark.parametrize(
     "command, edit",
     [
@@ -222,8 +243,27 @@ def _drop_coefficient(payload):
         (["verify"], _add_term_above_degree),
         (["verify"], _set_negative_shift),
         (["verify"], _drop_coefficient),
+        (["verify"], _set("coeffs", 3, "1/0")),
+        (["eval", "--point", "1,2,0"], _set("coeffs", 3, "1/0")),
+        (["verify"], _set("polys", 2, "terms", 0, "a", "3/0")),
+        (["eval", "--point", "1,2,0"], _set("polys", 2, "terms", 0, "a", "3/0")),
+        (["verify"], _set("lambda", "2/0")),
+        (["eval", "--point", "1,2,0"], _set("lambda", "2/0")),
+        (["verify"], _set("coeffs", 0, 1)),
+        (["verify"], _set("polys", 2, "terms", 0, "a", 1)),
+        (["verify"], _set("n", 1.7)),
+        (["verify"], _set("n", True)),
+        (["verify"], _set("n", 3)),
+        (["verify"], _set("coeffs", 2, "7")),
     ],
-    ids=["unknown-family", "n-zero", "term-above-degree", "negative-shift", "short-coeffs"],
+    ids=[
+        "unknown-family", "n-zero", "term-above-degree", "negative-shift", "short-coeffs",
+        "coeff-zero-denominator", "eval-coeff-zero-denominator",
+        "term-zero-denominator", "eval-term-zero-denominator",
+        "lambda-zero-denominator", "eval-lambda-zero-denominator",
+        "coeff-json-number", "term-json-number", "n-float", "n-bool",
+        "coeffs-of-another-n", "coeff-off-the-recurrence",
+    ],
 )
 def test_malformed_input_file_exits_2(tmp_path, command, edit):
     payload = gen_json("--n", "2", "--m", "3")
@@ -441,6 +481,13 @@ def test_negative_rationals_as_separate_arguments():
         assert (separate.returncode, separate.stdout) == (0, attached.stdout), separate.stderr
 
 
+def test_verify_huge_dimension_finishes():
+    # the coefficient cross-check takes r factors, not double factorials of n
+    proc = run_cli("verify", "--n", "1000000000", "--m", "3", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
 def test_verify_high_dimension_stays_in_binary_form():
     # expanding into 201 variables would not finish; the binary form does
     proc = run_cli("verify", "--n", "200", "--m", "12")
@@ -449,8 +496,6 @@ def test_verify_high_dimension_stays_in_binary_form():
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    from hyperappell import cli
-
     def broken(seq):
         raise RuntimeError("injected")
 
@@ -459,3 +504,73 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "injected" in err
     assert err.count("\n") == 1
+
+
+# -- input fuzzing ---------------------------------------------------------------
+
+
+# gen files, each with an eval point that fits its n
+FUZZ_BASES = [
+    (build_family(2, 4).to_json(), "1,2,0"),
+    (build_family(3, 3, "frobenius-euler", lam=Fraction(-2, 5)).to_json(), "1/2,1,0,-1"),
+]
+
+
+def _paths(node, path=()):
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_gen_files(draw):
+    """A gen file with one field mutated, and a point that fits the original n."""
+    base, point = draw(st.sampled_from(FUZZ_BASES))
+    doc = copy.deepcopy(base)
+    kind = draw(st.sampled_from(["swap-type", "zero-denominator", "huge", "drop", "add-term"]))
+    if kind == "add-term":
+        poly = draw(st.sampled_from(doc["polys"]))
+        p, q = draw(st.integers(-9, 9)), draw(st.integers(1, 9))
+        i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        poly["terms"].append({"i": i, "j": j, "a": f"{p}/{q}"})
+        return doc, point
+    paths = list(_paths(doc))
+    if kind == "zero-denominator":
+        paths = [(path, v) for path, v in paths if isinstance(v, str)]
+    elif kind == "huge":
+        paths = [(path, v) for path, v in paths if isinstance(v, (int, str))]
+    path, value = draw(st.sampled_from(paths))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "swap-type":
+        others = [v for v in (None, True, 1.5, 3, "3", "x", [], {}) if type(v) is not type(value)]
+        parent[path[-1]] = draw(st.sampled_from(others))
+    elif kind == "zero-denominator":
+        parent[path[-1]] = value.split("/")[0] + "/0"
+    else:
+        parent[path[-1]] = draw(st.sampled_from([10**30, -(10**30), str(10**30), f"1/{10**30}"]))
+    return doc, point
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=mutated_gen_files(), command=st.sampled_from(["verify", "eval"]))
+def test_mutated_input_file_exits_0_1_or_2(tmp_path_factory, case, command):
+    doc, point = case
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path)] + (["--point", point] if command == "eval" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2), (status, err)
+    assert "Traceback" not in err and "internal error" not in err, err
+    if status == 1:
+        failed = [r for r in json.loads(out)["results"] if not (r["monogenic"] and r["ladder"])]
+        assert failed and all("witness" in r for r in failed), out
+    if status == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperappell.trimatrix import (
+    TRANSFER_FAMILIES,
     TriMatrix,
     appell_matrix,
     bernoulli_transfer,
@@ -16,6 +17,7 @@ from hyperappell.trimatrix import (
     hermite_transfer,
     nilpotent_exp,
     pascal_matrix,
+    transfer_matrix,
     tri_inverse,
 )
 
@@ -222,6 +224,37 @@ def test_euler_transfer_small():
 def test_frobenius_euler_rejects_lambda_one():
     with pytest.raises(ZeroDivisionError):
         frobenius_euler_transfer(Fraction(1), 3)
+
+
+def test_transfer_matrix_is_the_named_builder():
+    lam = Fraction(2, 3)
+    builders = {
+        "bernoulli": bernoulli_transfer(6),
+        "euler": euler_transfer(6),
+        "frobenius-euler": frobenius_euler_transfer(lam, 6),
+        "hermite": hermite_transfer(6),
+    }
+    assert tuple(builders) == TRANSFER_FAMILIES
+    for family, expected in builders.items():
+        assert transfer_matrix(family, 6, lam if family == "frobenius-euler" else None) == expected
+
+
+@pytest.mark.parametrize(
+    "family, lam",
+    [
+        ("frobenius-euler", None),
+        ("frobenius-euler", 1),
+        ("frobenius-euler", Fraction(1)),
+        ("bernoulli", Fraction(2)),
+        ("euler", Fraction(-1)),
+        ("hermite", 0),
+        ("canonical", Fraction(2)),
+        ("laguerre", None),
+    ],
+)
+def test_transfer_matrix_refuses_with_value_error(family, lam):
+    with pytest.raises(ValueError):
+        transfer_matrix(family, 3, lam)
 
 
 def test_frobenius_euler_defining_identity():
