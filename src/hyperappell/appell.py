@@ -30,10 +30,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .clifford import Multivector, Paravector, vector_power
+from .clifford import Multivector, Paravector
 from .polynomials import CliffordPoly
 from .rationals import ONE, ZERO, binomial, read_rational
-from .trimatrix import TRANSFER_FAMILIES, TriMatrix, transfer_matrix
+from .trimatrix import TRANSFER_FAMILIES, TriMatrix, check_dimension, transfer_matrix
 
 FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
@@ -86,8 +86,7 @@ def coefficient_sequence(
     the complex case) and n > 1 uniformly; the closed form above gives the
     same values.
     """
-    if n < 1:
-        raise ValueError("dimension n must be at least 1")
+    check_dimension(n)
     if m < 0:
         raise ValueError("maximum degree must be nonnegative")
     if shift < 0:
@@ -254,8 +253,7 @@ class AppellSequence:
         Integers must be JSON integers, and c_0..c_m those of n, s and c_0.
         """
         n = _json_int(payload["n"], "n")
-        if n < 1:
-            raise ValueError(f"dimension n must be at least 1, got {n}")
+        check_dimension(n)
         shift = _json_int(payload.get("s", 0), "s")
         if shift < 0:
             raise ValueError(f"shift s must be nonnegative, got {shift}")
@@ -279,6 +277,8 @@ class AppellSequence:
         if not polys:
             raise ValueError("sequence must contain at least degree 0")
         m = len(polys) - 1
+        if _json_int(payload.get("m"), "m") != m:
+            raise ValueError(f"m is {payload['m']}, but the polynomials cover degrees 0..{m}")
         coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
         if coeffs.values != values:
             raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
@@ -387,8 +387,7 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
     scalar monomials; odd powers carry one extra factor x_k e_k.  Every
     caller gets the same cached polynomial, so its terms are read-only.
     """
-    if n < 1:
-        raise ValueError("dimension n must be at least 1")
+    check_dimension(n)
     if j < 0:
         raise ValueError("exponent must be nonnegative")
     half = j // 2
@@ -432,14 +431,25 @@ def expand_sequence(seq: AppellSequence) -> list[CliffordPoly]:
 
 
 def eval_poly(poly: AppellPoly, x: Paravector) -> Multivector:
-    """Exact value sum_{(i,j)} a_{ij} x0^i v^j at a rational paravector."""
-    vec_only = Paravector(ZERO, x.vec)
-    acc = Multivector.zero(x.n)
+    """Exact value sum_{(i,j)} a_{ij} x0^i v^j at a rational paravector.
+
+    Evaluated in binary form: x0 and v commute and v^2 = -|v|^2 is a
+    rational, so the value is A + B v for two rationals.  A term adds
+    a x0^i (-|v|^2)^(j//2) to A for even j and to B for odd j; no
+    Clifford product is formed.
+    """
+    square = -x.vector_norm_sq()
+    parts = [ZERO, ZERO]  # A, B
     for (i, j), a in poly.terms.items():
-        scale = a * x.x0**i
-        if scale:
-            acc = acc + vector_power(vec_only, j) * scale
-    return acc
+        parts[j % 2] += a * x.x0**i * square ** (j // 2)
+    return _paravector_value(x, *parts)
+
+
+def _paravector_value(x: Paravector, scalar: Fraction, vec_coeff: Fraction) -> Multivector:
+    """scalar + vec_coeff * v as a multivector; the constructor drops zero terms."""
+    terms = {1 << (k - 1): vec_coeff * v for k, v in enumerate(x.vec, start=1)}
+    terms[0] = scalar
+    return Multivector(x.n, terms)
 
 
 def restrict_poly(poly: AppellPoly) -> list[Fraction]:
@@ -458,14 +468,26 @@ def exp_truncated(x: Paravector, order: int) -> Multivector:
     Uses the basic sequence normalized to c_0 = 1.  On the real line
     (zero vector part) this reduces to the truncated real exponential
     series; for n = 1 it reproduces truncated complex exponentials.
+    Evaluated in binary form with O(order) rational operations: the sum
+    regroups as sum_j c_j v^j / j! * E_(order-j)(x0), where
+    E_r = sum_{i<=r} x0^i / i! is a running prefix sum, and the value is
+    A + B v as in `eval_poly`.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    seq = build_phi(coefficient_sequence(x.n, order))
-    acc = Multivector.zero(x.n)
-    factorial = 1
-    for k, poly in enumerate(seq.polys):
-        if k:
-            factorial *= k
-        acc = acc + eval_poly(poly, x) * Fraction(1, factorial)
-    return acc
+    c = coefficient_sequence(x.n, order).values
+    prefix = [ONE]  # E_0(x0), E_1(x0), ...
+    term = ONE
+    for i in range(1, order + 1):
+        term = term * x.x0 / i
+        prefix.append(prefix[-1] + term)
+    square = -x.vector_norm_sq()
+    parts = [ZERO, ZERO]  # A, B
+    weight = ONE  # (-|v|^2)^(j//2) / j!
+    for j in range(order + 1):
+        if j:
+            weight /= j
+            if j % 2 == 0:
+                weight *= square
+        parts[j % 2] += c[j] * weight * prefix[order - j]
+    return _paravector_value(x, *parts)

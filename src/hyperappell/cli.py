@@ -36,6 +36,7 @@ from .rationals import parse_rational, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
     TriMatrix,
+    check_dimension,
     creation_matrix,
     derivation_matrix,
     pascal_matrix,
@@ -43,6 +44,8 @@ from .trimatrix import (
 )
 
 RATIONAL_FLAGS = ("--lambda", "--c0", "--pascal", "--point")
+# Sequence flags that --input replaces; unset they are None and the library default applies.
+BUILD_FLAGS = {"family": "--family", "lam": "--lambda", "c0": "--c0", "shift": "--shift"}
 NEGATIVE_VALUE = re.compile(r"-\d")
 
 
@@ -100,9 +103,11 @@ def _mv_rows(mv: Multivector) -> list[list[str]]:
 def _sequence_from_flags(args) -> AppellSequence:
     if args.n is None or args.m is None:
         raise ValueError("--n and --m are required when --input is not given")
-    c0 = read_rational(args.c0, "--c0")
-    lam = None if args.lam is None else read_rational(args.lam, "--lambda")
-    return build_family(args.n, args.m, family=args.family, c0=c0, lam=lam, shift=args.shift)
+    given = {key: getattr(args, key) for key in BUILD_FLAGS if getattr(args, key) is not None}
+    for key in ("c0", "lam"):
+        if key in given:
+            given[key] = read_rational(given[key], BUILD_FLAGS[key])
+    return build_family(args.n, args.m, **given)
 
 
 def _load_sequence(args) -> AppellSequence:
@@ -110,6 +115,9 @@ def _load_sequence(args) -> AppellSequence:
         return _sequence_from_flags(args)
     if args.n is not None or args.m is not None:
         raise ValueError("--input replaces --n/--m; give one or the other")
+    for key, flag in BUILD_FLAGS.items():
+        if getattr(args, key) is not None:
+            raise ValueError(f"{flag} does not apply to --input: the file fixes the sequence")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -250,6 +258,7 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_exp(args) -> int:
+    check_dimension(args.n)
     point = _parse_point(args.point, args.n)
     value = exp_truncated(point, args.order)
     if args.format == "json":
@@ -284,13 +293,13 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("json", "csv", "
 def _add_sequence_flags(parser: argparse.ArgumentParser, with_input: bool):
     parser.add_argument("--n", type=int, help="paravector dimension (number of e_k)")
     parser.add_argument("--m", type=int, help="highest degree to build")
-    parser.add_argument("--family", choices=FAMILIES, default="canonical")
+    parser.add_argument("--family", choices=FAMILIES, help="sequence family (default canonical)")
     parser.add_argument("--lambda", dest="lam", metavar="p/q",
                         help="Frobenius-Euler parameter, any rational except 1")
-    parser.add_argument("--c0", default="1", metavar="p/q",
-                        help="normalization c_0 (default 1)")
-    parser.add_argument("--shift", type=int, default=0, metavar="S",
-                        help="coefficient shift for products with a degree-S monogenic factor")
+    parser.add_argument("--c0", metavar="p/q", help="normalization c_0 (default 1)")
+    parser.add_argument("--shift", type=int, metavar="S",
+                        help="coefficient shift for products with a degree-S monogenic factor"
+                        " (default 0)")
     if with_input:
         parser.add_argument("--input", metavar="PATH",
                             help="load a sequence from a gen JSON file instead of building one")

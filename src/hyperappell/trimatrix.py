@@ -219,6 +219,12 @@ def creation_matrix(m: int) -> TriMatrix:
     return matrix
 
 
+def check_dimension(n: int) -> None:
+    """The one rule on the paravector dimension n, shared by every entry point."""
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n}")
+
+
 def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
     """Matrix of the vector derivative acting on powers of the vector variable.
 
@@ -230,8 +236,7 @@ def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
     In the complex case n = 1, shift = 0 the result is minus the creation
     matrix.
     """
-    if n < 1:
-        raise ValueError("dimension n must be at least 1")
+    check_dimension(n)
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     if m < 0:

@@ -21,7 +21,7 @@ from hyperappell.appell import (
     restrict_poly,
     vector_power_expansion,
 )
-from hyperappell.clifford import Multivector, Paravector
+from hyperappell.clifford import Multivector, Paravector, vector_power
 from hyperappell.rationals import double_factorial
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.trimatrix import TriMatrix, bernoulli_transfer, creation_matrix, nilpotent_exp
@@ -225,6 +225,63 @@ def test_eval_agrees_with_expansion():
                 ]
                 x = Paravector(coords[0], tuple(coords[1:]))
                 assert eval_poly(poly, x) == expanded.eval(coords)
+
+
+# -- binary-form evaluation against Clifford products ------------------------------
+
+
+def eval_by_products(poly, x):
+    """Reference route: sum of a x0^i times the Clifford power v^j, term by term."""
+    vec_only = Paravector(0, x.vec)
+    acc = Multivector.zero(x.n)
+    for (i, j), a in poly.terms.items():
+        acc = acc + vector_power(vec_only, j) * (a * x.x0**i)
+    return acc
+
+
+def sample_points(rng, n):
+    """Random rational points, a zero vector part, x0 = 0 and the origin."""
+    def coord():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+
+    yield from (Paravector(coord(), tuple(coord() for _ in range(n))) for _ in range(3))
+    yield Paravector(coord(), (0,) * n)
+    yield Paravector(0, tuple(coord() for _ in range(n)))
+    yield Paravector(0, (0,) * n)
+
+
+EVAL_SEQUENCES = [
+    ("canonical", None, 0),
+    ("bernoulli", None, 0),
+    ("euler", None, 0),
+    ("hermite", None, 0),
+    ("frobenius-euler", Fraction(-1), 0),
+    ("frobenius-euler", Fraction(-4, 7), 0),
+    ("frobenius-euler", Fraction(3, 2), 0),
+    ("canonical", None, 2),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eval_matches_clifford_products(n):
+    rng = random.Random(n)
+    for family, lam, shift in EVAL_SEQUENCES:
+        seq = build_family(n, 10, family=family, lam=lam, shift=shift)
+        for x in sample_points(rng, n):
+            for poly, value in zip(seq.polys, seq.eval_at(x)):
+                assert value.to_json() == eval_by_products(poly, x).to_json(), (family, lam, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exp_truncated_matches_sum_of_members(n):
+    # sum_{k<=T} phi_k(x) / k! with every member evaluated by Clifford products
+    rng = random.Random(10 + n)
+    members = build_phi(coefficient_sequence(n, 40)).polys
+    for x in sample_points(rng, n):
+        series = Multivector.zero(n)
+        for order, poly in enumerate(members):
+            series = series + eval_by_products(poly, x) * Fraction(1, math.factorial(order))
+            assert exp_truncated(x, order).to_json() == series.to_json(), (order, x)
 
 
 def test_eval_known_value():

@@ -190,6 +190,22 @@ def test_verify_input_conflicts_with_flags(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", [["verify"], ["eval", "--point", "1,2,0"]])
+@pytest.mark.parametrize(
+    "flag", [["--family", "hermite"], ["--family", "canonical"], ["--lambda", "2"],
+             ["--c0", "1"], ["--shift", "0"]],
+    ids=["family", "family-default", "lambda", "c0-default", "shift-default"],
+)
+def test_input_refuses_build_flags(tmp_path, command, flag):
+    # the file fixes the sequence; a build flag next to it used to be ignored
+    path = tmp_path / "seq.json"
+    run_cli("gen", "--n", "2", "--m", "2", "--output", str(path))
+    proc = run_cli(command[0], "--input", str(path), *command[1:], *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {flag[0]} does not apply to --input: the file fixes the sequence\n"
+
+
 def test_verify_missing_input_file():
     proc = run_cli("verify", "--input", "/nonexistent/seq.json")
     assert proc.returncode == 2
@@ -220,6 +236,10 @@ def _set_negative_shift(payload):
 
 def _drop_coefficient(payload):
     payload["coeffs"].pop()
+
+
+def _drop_m(payload):
+    del payload["m"]
 
 
 def _set(*path_and_value):
@@ -255,6 +275,11 @@ def _set(*path_and_value):
         (["verify"], _set("n", True)),
         (["verify"], _set("n", 3)),
         (["verify"], _set("coeffs", 2, "7")),
+        (["verify"], _set("m", 99)),
+        (["eval", "--point", "1,2,0"], _set("m", 2)),
+        (["verify"], _set("m", "3")),
+        (["verify"], _set("m", 3.0)),
+        (["verify"], _drop_m),
     ],
     ids=[
         "unknown-family", "n-zero", "term-above-degree", "negative-shift", "short-coeffs",
@@ -263,6 +288,7 @@ def _set(*path_and_value):
         "lambda-zero-denominator", "eval-lambda-zero-denominator",
         "coeff-json-number", "term-json-number", "n-float", "n-bool",
         "coeffs-of-another-n", "coeff-off-the-recurrence",
+        "m-too-large", "eval-m-too-small", "m-string", "m-float", "m-missing",
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, command, edit):
@@ -452,6 +478,15 @@ def test_exp_usage_errors():
     assert run_cli("exp", "--n", "1", "--point", "0,1", "--order", "-1").returncode == 2
     assert run_cli("exp", "--n", "1", "--point", "0,1,2", "--order", "3").returncode == 2
     assert run_cli("exp", "--n", "0", "--point", "0", "--order", "3").returncode == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("point", ["0", "0,1", "0,1,2"])
+def test_exp_dimension_rule_comes_before_point_length(n, point):
+    proc = run_cli("exp", "--n", n, "--point", point, "--order", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: dimension n must be at least 1, got {n}\n"
 
 
 # -- global behaviour ------------------------------------------------------------
