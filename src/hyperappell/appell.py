@@ -33,9 +33,18 @@ from typing import Iterator, Mapping
 from .clifford import Multivector, Paravector
 from .polynomials import CliffordPoly
 from .rationals import ONE, ZERO, binomial, read_rational
-from .trimatrix import TRANSFER_FAMILIES, TriMatrix, check_dimension, transfer_matrix
+from .trimatrix import TRANSFER_FAMILIES, TriMatrix, check_dimension, check_lambda, transfer_matrix
 
 FAMILIES = ("canonical",) + TRANSFER_FAMILIES
+
+
+def check_header(family: str, lam: Fraction | None = None, shift: int = 0) -> None:
+    """The header rules of a built or loaded sequence; `coefficient_sequence` checks n, s, c0."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if shift > 0 and family != "canonical":
+        raise ValueError("shifted coefficients are only defined for the canonical family")
+    check_lambda(family, lam)
 
 
 @dataclass(frozen=True)
@@ -86,11 +95,9 @@ def coefficient_sequence(
     the complex case) and n > 1 uniformly; the closed form above gives the
     same values.
     """
-    check_dimension(n)
+    check_dimension(n, shift)
     if m < 0:
         raise ValueError("maximum degree must be nonnegative")
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
     c0 = Fraction(c0)
     if not c0:
         raise ValueError("c0 must be nonzero: the diagonal matrix must be invertible")
@@ -204,14 +211,20 @@ class AppellPoly:
 
 @dataclass
 class AppellSequence:
-    """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form."""
+    """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n and s live in coeffs."""
 
-    n: int
     family: str
     polys: list[AppellPoly]
     coeffs: CoeffSequence
     lam: Fraction | None = None
-    shift: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.n
+
+    @property
+    def shift(self) -> int:
+        return self.coeffs.shift
 
     @property
     def m(self) -> int:
@@ -248,48 +261,44 @@ class AppellSequence:
 
     @classmethod
     def from_json(cls, payload: dict) -> "AppellSequence":
-        """Load a `to_json` payload, rejecting one no builder could produce.
+        """Load a `to_json` payload, refusing (ValueError) one no builder could produce.
 
-        Integers must be JSON integers, and c_0..c_m those of n, s and c_0.
+        The header must pass `check_header`, c_0..c_m be those of n, s and c_0,
+        and a shifted file, which `certify` checks only by intertwining, hold
+        exactly `build_phi(coeffs)`.
         """
-        n = _json_int(payload["n"], "n")
-        check_dimension(n)
-        shift = _json_int(payload.get("s", 0), "s")
-        if shift < 0:
-            raise ValueError(f"shift s must be nonnegative, got {shift}")
-        family = payload["family"]
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        n = _json_get(payload, "n", int)
+        shift = _json_get(payload, "s", int, default=0)
+        family = _json_get(payload, "family", str)
         lam = payload.get("lambda")
-        values = tuple(read_rational(c, "coefficient") for c in payload["coeffs"])
+        lam = None if lam is None else read_rational(lam, "lambda")
+        check_header(family, lam, shift)
+        values = tuple(read_rational(c, "coefficient") for c in _json_get(payload, "coeffs", list))
         polys = []
-        for entry in sorted(payload["polys"], key=lambda e: _json_int(e["k"], "k")):
+        entries = _json_get(payload, "polys", list)
+        for entry in sorted(entries, key=lambda e: _json_get(e, "k", int)):
             k = entry["k"]
             if k != len(polys):
                 raise ValueError(f"polynomial degrees must cover 0..m, missing {len(polys)}")
             terms = {}
-            for term in entry["terms"]:
-                key = (_json_int(term["i"], "i"), _json_int(term["j"], "j"))
+            for term in _json_get(entry, "terms", list):
+                key = (_json_get(term, "i", int), _json_get(term, "j", int))
                 if key[0] + key[1] > k:
                     raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
-                terms[key] = terms.get(key, ZERO) + read_rational(term["a"], "term coefficient")
+                a = read_rational(term.get("a"), "term coefficient")
+                terms[key] = terms.get(key, ZERO) + a
             polys.append(AppellPoly(k, terms))
         if not polys:
             raise ValueError("sequence must contain at least degree 0")
         m = len(polys) - 1
-        if _json_int(payload.get("m"), "m") != m:
+        if _json_get(payload, "m", int) != m:
             raise ValueError(f"m is {payload['m']}, but the polynomials cover degrees 0..{m}")
         coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
         if coeffs.values != values:
             raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
-        return cls(
-            n=n,
-            family=family,
-            polys=polys,
-            coeffs=coeffs,
-            lam=None if lam is None else read_rational(lam, "lambda"),
-            shift=shift,
-        )
+        if shift and polys != build_phi(coeffs).polys:
+            raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
+        return cls(family=family, polys=polys, coeffs=coeffs, lam=lam)
 
     def csv_rows(self) -> Iterator[tuple[int, int, int, str]]:
         """One (k, i, j, a) row per stored term."""
@@ -298,32 +307,28 @@ class AppellSequence:
                 yield k, i, j, str(a)
 
 
-def _json_int(value, name: str) -> int:
-    if type(value) is not int:  # refuses bools and floats instead of casting them
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+_JSON_NAMES = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _json_get(node, key: str, kind: type, default=None):
+    """node[key] of exactly type `kind`, so no bool or float passes as an integer."""
+    if type(node) is not dict:
+        raise ValueError(f"expected an object holding {key!r}, got {type(node).__name__}")
+    if key not in node and default is None:
+        raise ValueError(f"missing key {key!r}")
+    value = node.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_JSON_NAMES[kind]}, got {type(value).__name__}")
     return value
 
 
-def build_phi(coeffs: CoeffSequence, m: int | None = None) -> AppellSequence:
-    """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..m."""
-    if m is None:
-        m = coeffs.m
-    if m > coeffs.m:
-        raise ValueError(f"coefficients cover degrees 0..{coeffs.m}, need 0..{m}")
-    polys = []
-    for k in range(m + 1):
-        terms = {
-            (k - j, j): binomial(k, j) * coeffs.values[j] for j in range(k + 1)
-        }
-        polys.append(AppellPoly(k, terms))
-    trimmed = CoeffSequence(coeffs.n, coeffs.shift, coeffs.values[: m + 1])
-    return AppellSequence(
-        n=coeffs.n,
-        family="canonical",
-        polys=polys,
-        coeffs=trimmed,
-        shift=coeffs.shift,
-    )
+def build_phi(coeffs: CoeffSequence) -> AppellSequence:
+    """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..coeffs.m."""
+    polys = [
+        AppellPoly(k, {(k - j, j): binomial(k, j) * coeffs.values[j] for j in range(k + 1)})
+        for k in range(coeffs.m + 1)
+    ]
+    return AppellSequence(family="canonical", polys=polys, coeffs=coeffs)
 
 
 def apply_transfer(
@@ -337,14 +342,7 @@ def apply_transfer(
         raise ValueError(
             f"transfer order {transfer.order} does not match sequence length {base.m}"
         )
-    return AppellSequence(
-        n=base.n,
-        family=family,
-        polys=transfer.apply(base.polys),
-        coeffs=base.coeffs,
-        lam=lam,
-        shift=base.shift,
-    )
+    return AppellSequence(family, transfer.apply(base.polys), base.coeffs, lam)
 
 
 def build_family(
@@ -357,14 +355,11 @@ def build_family(
 ) -> AppellSequence:
     """Construct a named sequence: the basic one, or a transfer applied to it.
 
-    Only frobenius-euler takes `lam`: `transfer_matrix` decides.
+    The header rules are `check_header`'s, the same a loaded file passes.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if shift > 0 and family != "canonical":
-        raise ValueError("shifted coefficients are only defined for the canonical family")
+    check_header(family, lam, shift)
     base = build_phi(coefficient_sequence(n, m, c0=c0, shift=shift))
-    if family == "canonical" and lam is None:
+    if family == "canonical":
         return base
     transfer = transfer_matrix(family, m, lam)
     return apply_transfer(transfer, base, family, lam=None if lam is None else Fraction(lam))

@@ -219,10 +219,12 @@ def creation_matrix(m: int) -> TriMatrix:
     return matrix
 
 
-def check_dimension(n: int) -> None:
-    """The one rule on the paravector dimension n, shared by every entry point."""
+def check_dimension(n: int, shift: int = 0) -> None:
+    """The one rule on the dimension n and on the shift s, shared by every entry point."""
     if n < 1:
         raise ValueError(f"dimension n must be at least 1, got {n}")
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
 
 
 def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
@@ -236,9 +238,7 @@ def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
     In the complex case n = 1, shift = 0 the result is minus the creation
     matrix.
     """
-    check_dimension(n)
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
+    check_dimension(n, shift)
     if m < 0:
         raise ValueError("order must be nonnegative")
     matrix = TriMatrix.zeros(m)
@@ -383,19 +383,22 @@ def hermite_transfer(m: int) -> TriMatrix:
     return appell_matrix(column)
 
 
-def transfer_matrix(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
-    """The builder above for a family in TRANSFER_FAMILIES.
-
-    Only frobenius-euler takes `lam`, and needs one other than 1.
-    """
+def check_lambda(family: str, lam: Fraction | None) -> None:
+    """The one rule on `lam`: frobenius-euler needs one other than 1, no other family takes one."""
     if family == "frobenius-euler":
         if lam is None:
             raise ValueError("frobenius-euler requires a lambda parameter")
         if lam == 1:
             raise ValueError("lambda must differ from 1")
-        return frobenius_euler_transfer(lam, m)
-    if lam is not None:
+    elif lam is not None:
         raise ValueError(f"lambda only applies to the frobenius-euler family, not {family!r}")
+
+
+def transfer_matrix(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
+    """The builder above for a family in TRANSFER_FAMILIES, `lam` checked by `check_lambda`."""
+    check_lambda(family, lam)
+    if family == "frobenius-euler":
+        return frobenius_euler_transfer(lam, m)
     if family == "bernoulli":
         return bernoulli_transfer(m)
     if family == "euler":

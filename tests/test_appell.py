@@ -148,13 +148,6 @@ def test_build_phi_matches_pascal_route():
                 assert binary == pascal[k, j] * cs.values[j]
 
 
-def test_build_phi_needs_enough_coefficients():
-    cs = coefficient_sequence(2, 3)
-    with pytest.raises(ValueError):
-        build_phi(cs, 5)
-    assert build_phi(cs, 2).m == 2
-
-
 # -- expansion and evaluation ------------------------------------------------
 
 
@@ -370,19 +363,31 @@ def test_transfer_families_are_not_homogeneous():
     assert any(i + j != 2 for (i, j) in seq.polys[2].terms)
 
 
-def test_family_validation():
-    with pytest.raises(ValueError):
-        build_family(2, 3, family="laguerre")
-    with pytest.raises(ValueError):
-        build_family(2, 3, family="frobenius-euler")  # lambda missing
-    with pytest.raises(ValueError):
-        build_family(2, 3, family="bernoulli", shift=1)
-    with pytest.raises(ValueError):
-        build_family(2, 3, family="frobenius-euler", lam=1)
+# (family, lam, shift) headers no builder accepts, so no file may carry them either
+BAD_HEADERS = [
+    ("laguerre", None, 0),
+    ("frobenius-euler", None, 0),  # lambda missing
+    ("frobenius-euler", Fraction(1), 0),
+    ("bernoulli", None, 1),
+    ("frobenius-euler", Fraction(1, 2), 2),
     # lambda belongs to frobenius-euler alone
-    for family in ("canonical", "bernoulli", "euler", "hermite"):
+    ("canonical", Fraction(2), 0),
+    ("canonical", Fraction(1, 2), 1),
+    ("bernoulli", Fraction(2), 0),
+    ("euler", Fraction(2), 0),
+    ("hermite", Fraction(2), 0),
+]
+
+
+def test_family_validation():
+    for family, lam, shift in BAD_HEADERS:
         with pytest.raises(ValueError):
-            build_family(2, 3, family=family, lam=Fraction(2))
+            build_family(2, 3, family=family, lam=lam, shift=shift)
+        # otherwise valid: c_0..c_3 of n = 2 and s, and the basic sequence they build
+        payload = build_phi(coefficient_sequence(2, 3, shift=shift)).to_json()
+        payload.update(family=family, s=shift, **{"lambda": None if lam is None else str(lam)})
+        with pytest.raises(ValueError):
+            AppellSequence.from_json(payload)
 
 
 def test_frobenius_euler_at_minus_one_is_euler():
@@ -502,6 +507,53 @@ def test_sequence_json_shifted_round_trip():
     seq = build_phi(coefficient_sequence(2, 3, shift=2))
     clone = AppellSequence.from_json(seq.to_json())
     assert clone.shift == 2 and clone.coeffs.shift == 2
+
+
+def test_sequence_header_lives_in_coeffs():
+    seq = build_family(3, 2, shift=1)
+    assert (seq.n, seq.shift) == (seq.coeffs.n, seq.coeffs.shift) == (3, 1)
+    with pytest.raises(AttributeError):
+        seq.n = 4
+
+
+def test_sequence_json_refuses_edited_shifted_terms():
+    # certify checks a shifted sequence only through intertwining, so the load must
+    payload = build_family(2, 3, shift=1).to_json()
+    payload["polys"][2]["terms"][0]["a"] = "999"
+    with pytest.raises(ValueError, match="build_phi"):
+        AppellSequence.from_json(payload)
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _without("n"), _without("family"), _without("coeffs"), _without("polys"),
+        lambda p: {**p, "polys": 5},
+        lambda p: {**p, "coeffs": "1"},
+        lambda p: {**p, "polys": [5]},
+        lambda p: {**p, "polys": [{"k": 0, "terms": {}}]},
+        lambda p: {**p, "polys": [{"k": 0, "terms": [[0, 0, "1"]]}]},
+        lambda p: {**p, "polys": [{"k": 0, "terms": [{"i": 0, "j": 0}]}]},
+        lambda p: [p],
+        lambda p: None,
+    ],
+    ids=[
+        "no-n", "no-family", "no-coeffs", "no-polys", "polys-int", "coeffs-string",
+        "entry-int", "terms-object", "term-list", "term-without-a", "payload-list",
+        "payload-null",
+    ],
+)
+def test_sequence_json_refuses_malformed_payload_with_value_error(edit):
+    with pytest.raises(ValueError):
+        AppellSequence.from_json(edit(build_family(2, 3).to_json()))
 
 
 def test_sequence_json_rejects_degree_gaps():

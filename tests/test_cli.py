@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperappell import build_family, cli
+from hyperappell import build_family, build_phi, cli, coefficient_sequence
 
 PKG = "hyperappell"
 
@@ -183,6 +183,16 @@ def test_verify_rejects_csv_format():
     assert proc.returncode == 2
 
 
+def test_verify_has_no_float_option(tmp_path):
+    # a report holds no values to approximate; --float used to be accepted and ignored
+    path = tmp_path / "seq.json"
+    run_cli("gen", "--n", "2", "--m", "2", "--output", str(path))
+    for args in (["--input", str(path)], ["--n", "2", "--m", "2"]):
+        proc = run_cli("verify", *args, "--float")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments: --float" in proc.stderr
+
+
 def test_verify_input_conflicts_with_flags(tmp_path):
     path = tmp_path / "seq.json"
     run_cli("gen", "--n", "2", "--m", "2", "--output", str(path))
@@ -238,8 +248,27 @@ def _drop_coefficient(payload):
     payload["coeffs"].pop()
 
 
-def _drop_m(payload):
-    del payload["m"]
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+
+    return edit
+
+
+def _replace_with(doc, then):
+    """Swap in another builder's file, then edit it."""
+
+    def edit(payload):
+        payload.clear()
+        payload.update(copy.deepcopy(doc))
+        then(payload)
+
+    return edit
+
+
+FE_FILE = build_family(2, 3, "frobenius-euler", lam=Fraction(1, 2)).to_json()
+SHIFTED_COEFFS_FILE = build_phi(coefficient_sequence(2, 3, shift=1)).to_json()
+SHIFTED_FILE = build_family(2, 3, shift=1).to_json()
 
 
 def _set(*path_and_value):
@@ -254,7 +283,8 @@ def _set(*path_and_value):
     return edit
 
 
-# Each edit was seen on a hand-edited gen file and used to exit 0, 1 or 3.
+# Each edit was seen on a hand-edited gen file and used to exit 0, 1 or 3, or (a missing
+# key, a non-list "polys", a list payload) 2 only through the CLI catching KeyError/TypeError.
 @pytest.mark.parametrize(
     "command, edit",
     [
@@ -279,7 +309,21 @@ def _set(*path_and_value):
         (["eval", "--point", "1,2,0"], _set("m", 2)),
         (["verify"], _set("m", "3")),
         (["verify"], _set("m", 3.0)),
-        (["verify"], _drop_m),
+        (["verify"], _drop("m")),
+        *[
+            (command, edit)
+            for edit in (
+                _set("lambda", "1/2"),
+                _replace_with(FE_FILE, _set("lambda", None)),
+                _replace_with(FE_FILE, _set("lambda", "1")),
+                _replace_with(SHIFTED_COEFFS_FILE, _set("family", "bernoulli")),
+                _replace_with(SHIFTED_FILE, _set("polys", 2, "terms", 0, "a", "999")),
+                _drop("n"), _drop("family"), _drop("coeffs"), _drop("polys"),
+                _set("polys", 5),
+                lambda payload: [payload],
+            )
+            for command in (["verify"], ["eval", "--point", "1,2,0"])
+        ],
     ],
     ids=[
         "unknown-family", "n-zero", "term-above-degree", "negative-shift", "short-coeffs",
@@ -289,17 +333,26 @@ def _set(*path_and_value):
         "coeff-json-number", "term-json-number", "n-float", "n-bool",
         "coeffs-of-another-n", "coeff-off-the-recurrence",
         "m-too-large", "eval-m-too-small", "m-string", "m-float", "m-missing",
+        *[
+            prefix + case
+            for case in (
+                "canonical-lambda", "lambda-null", "lambda-one", "shifted-bernoulli",
+                "shifted-term-edited", "n-missing", "family-missing", "coeffs-missing",
+                "polys-missing", "polys-int", "payload-list",
+            )
+            for prefix in ("", "eval-")
+        ],
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, command, edit):
     payload = gen_json("--n", "2", "--m", "3")
-    edit(payload)
+    replaced = edit(payload)  # an edit may return a whole new document
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload if replaced is None else replaced))
     proc = run_cli(command[0], "--input", str(path), *command[1:])
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 # -- eval --------------------------------------------------------------------
@@ -609,3 +662,10 @@ def test_mutated_input_file_exits_0_1_or_2(tmp_path_factory, case, command):
         assert failed and all("witness" in r for r in failed), out
     if status == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        # a file that loads carries a header the builder accepts
+        lam = doc.get("lambda")
+        build_family(
+            doc["n"], doc["m"], doc["family"], c0=Fraction(doc["coeffs"][0]),
+            lam=None if lam is None else Fraction(lam), shift=doc.get("s", 0),
+        )
