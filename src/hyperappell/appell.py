@@ -24,11 +24,11 @@ arise by applying their transfer matrices f(H) to the basic sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .clifford import Multivector, Paravector
 from .polynomials import CliffordPoly
@@ -47,14 +47,14 @@ def check_header(family: str, lam: Fraction | None = None, shift: int = 0) -> No
     check_lambda(family, lam)
 
 
-@dataclass(frozen=True)
-class CoeffSequence:
+class CoeffSequence(namedtuple("CoeffSequence", "n shift values")):
     """Diagonal coefficients c_0..c_m for dimension n and factor degree s.
 
     The builder enforces the defining constraint; constructing instances
     directly bypasses it (used deliberately for negative controls).
     """
 
+    __slots__ = ()
     n: int
     shift: int
     values: tuple[Fraction, ...]
@@ -209,14 +209,33 @@ class AppellPoly:
         return f"AppellPoly(degree={self.degree}, {self})"
 
 
-@dataclass
 class AppellSequence:
     """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n and s live in coeffs."""
 
-    family: str
-    polys: list[AppellPoly]
-    coeffs: CoeffSequence
-    lam: Fraction | None = None
+    def __init__(
+        self,
+        family: str,
+        polys: list[AppellPoly],
+        coeffs: CoeffSequence,
+        lam: Fraction | None = None,
+    ):
+        self.family = family
+        self.polys = polys
+        self.coeffs = coeffs
+        self.lam = lam
+
+    def __eq__(self, other):
+        if not isinstance(other, AppellSequence):
+            return NotImplemented
+        return (self.family, self.polys, self.coeffs, self.lam) == (
+            other.family, other.polys, other.coeffs, other.lam
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"AppellSequence(family={self.family!r}, polys={self.polys!r},"
+            f" coeffs={self.coeffs!r}, lam={self.lam!r})"
+        )
 
     @property
     def n(self) -> int:

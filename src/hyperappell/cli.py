@@ -123,6 +123,8 @@ def _load_sequence(args) -> AppellSequence:
             return AppellSequence.from_json(json.load(fh))
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}")
+    except RecursionError:
+        raise ValueError(f"{args.input} is not a valid sequence file: nested too deeply")
     except ValueError as exc:
         raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
 
@@ -157,8 +159,8 @@ def _pretty_flag(value: bool | None) -> str:
     return "pass" if value else "FAIL"
 
 
-def _pretty_report(report: VerifyReport) -> str:
-    lines = [f"family: {report.family}  n: {report.n}  m: {len(report.results) - 1 if report.results else 0}  s: {report.shift}"]
+def _pretty_report(report: VerifyReport, m: int) -> str:
+    lines = [f"family: {report.family}  n: {report.n}  m: {m}  s: {report.shift}"]
     for check in report.results:
         lines.append(
             f"k={check.k}  monogenic={_pretty_flag(check.monogenic)}"
@@ -175,8 +177,9 @@ def _pretty_report(report: VerifyReport) -> str:
 
 
 def cmd_verify(args) -> int:
-    report = certify(_load_sequence(args))
-    text = _dump_json(report.to_json()) if args.format == "json" else _pretty_report(report)
+    seq = _load_sequence(args)
+    report = certify(seq)
+    text = _dump_json(report.to_json()) if args.format == "json" else _pretty_report(report, seq.m)
     _emit(text, args.output)
     return 0 if report.ok else 1
 

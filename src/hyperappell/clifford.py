@@ -14,9 +14,9 @@ since it populates grades 0 and 1 almost exclusively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .rationals import ONE, ZERO, parse_rational
 
@@ -262,16 +262,15 @@ class Multivector:
         return cls(n, terms)
 
 
-@dataclass(frozen=True)
-class Paravector:
+class Paravector(namedtuple("Paravector", "x0 vec")):
     """Element x0 + x1 e_1 + ... + xn e_n of the paravector space in Cl(0,n)."""
 
+    __slots__ = ()
     x0: Fraction
     vec: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", Fraction(self.x0))
-        object.__setattr__(self, "vec", tuple(Fraction(v) for v in self.vec))
+    def __new__(cls, x0, vec):
+        return super().__new__(cls, Fraction(x0), tuple(Fraction(v) for v in vec))
 
     @property
     def n(self) -> int:

@@ -24,7 +24,7 @@ routes (matrix arithmetic and the per-entry pattern) that must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .appell import AppellPoly, AppellSequence, CoeffSequence, expand_sequence, vector_power_expansion
@@ -64,14 +64,14 @@ def _witness(residual: CliffordPoly) -> dict:
     return {"exponents": list(exps), "coeff": coeff.to_json()}
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(namedtuple("DegreeCheck", "k monogenic ladder witness", defaults=(None,) * 3)):
     """Outcome at one degree; a None field means the check was not run."""
 
+    __slots__ = ()
     k: int
-    monogenic: bool | None = None
-    ladder: bool | None = None
-    witness: dict | None = None
+    monogenic: bool | None
+    ladder: bool | None
+    witness: dict | None
 
     @property
     def passed(self) -> bool:
@@ -88,15 +88,17 @@ class DegreeCheck:
         return out
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(
+    namedtuple("VerifyReport", "n family results intertwining shift", defaults=(None, 0))
+):
     """Per-degree certification results for one sequence."""
 
+    __slots__ = ()
     n: int
     family: str
     results: list[DegreeCheck]
-    intertwining: bool | None = None
-    shift: int = 0
+    intertwining: bool | None
+    shift: int
 
     @property
     def ok(self) -> bool:

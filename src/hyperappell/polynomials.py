@@ -9,8 +9,8 @@ no tolerance anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .clifford import Multivector
 from .rationals import ONE, ZERO

@@ -26,9 +26,9 @@ Entries are Fractions throughout; nothing here ever rounds.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .rationals import ONE, ZERO, parse_rational
 

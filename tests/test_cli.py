@@ -2,9 +2,11 @@ import contextlib
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hyperappell import build_family, build_phi, cli, coefficient_sequence
 
 PKG = "hyperappell"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, timeout=None):
@@ -178,6 +181,13 @@ def test_verify_pretty():
     assert "k=3  monogenic=pass  ladder=pass" in proc.stdout
 
 
+def test_verify_pretty_shifted_reports_m():
+    # a shifted sequence has no per-degree results; m comes from the sequence
+    proc = run_cli("verify", "--n", "2", "--m", "5", "--shift", "1", "--format", "pretty")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "family: canonical  n: 2  m: 5  s: 1"
+
+
 def test_verify_rejects_csv_format():
     proc = run_cli("verify", "--n", "2", "--m", "3", "--format", "csv")
     assert proc.returncode == 2
@@ -271,6 +281,11 @@ SHIFTED_COEFFS_FILE = build_phi(coefficient_sequence(2, 3, shift=1)).to_json()
 SHIFTED_FILE = build_family(2, 3, shift=1).to_json()
 
 
+def _nested_list_text(payload):
+    """A 100000-deep JSON list as raw text; json.dumps cannot write it."""
+    return "[" * 100000 + "]" * 100000
+
+
 def _set(*path_and_value):
     *path, key, value = path_and_value
 
@@ -321,6 +336,7 @@ def _set(*path_and_value):
                 _drop("n"), _drop("family"), _drop("coeffs"), _drop("polys"),
                 _set("polys", 5),
                 lambda payload: [payload],
+                _nested_list_text,
             )
             for command in (["verify"], ["eval", "--point", "1,2,0"])
         ],
@@ -338,7 +354,7 @@ def _set(*path_and_value):
             for case in (
                 "canonical-lambda", "lambda-null", "lambda-one", "shifted-bernoulli",
                 "shifted-term-edited", "n-missing", "family-missing", "coeffs-missing",
-                "polys-missing", "polys-int", "payload-list",
+                "polys-missing", "polys-int", "payload-list", "payload-nested-too-deep",
             )
             for prefix in ("", "eval-")
         ],
@@ -346,9 +362,11 @@ def _set(*path_and_value):
 )
 def test_malformed_input_file_exits_2(tmp_path, command, edit):
     payload = gen_json("--n", "2", "--m", "3")
-    replaced = edit(payload)  # an edit may return a whole new document
+    replaced = edit(payload)  # an edit may return a whole new document, or its text
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(payload if replaced is None else replaced))
+    if not isinstance(replaced, str):
+        replaced = json.dumps(payload if replaced is None else replaced)
+    path.write_text(replaced)
     proc = run_cli(command[0], "--input", str(path), *command[1:])
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
@@ -547,6 +565,24 @@ def test_exp_dimension_rule_comes_before_point_length(n, point):
 
 def test_unknown_subcommand_exits_2():
     assert run_cli("frobnicate").returncode == 2
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
+    # Every command would pay for these at start-up: dataclasses pulls in inspect, ast,
+    # dis and tokenize, and typing takes a few ms. -S keeps a site hook from preloading one.
+    script = (
+        "import sys, hyperappell.cli\n"
+        "code = hyperappell.cli.main(['gen', '--n', '2', '--m', '3'])\n"
+        "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_repeated_runs_are_byte_identical():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from hyperappell.appell import (
     FAMILIES,
     AppellPoly,
+    AppellSequence,
     CoeffSequence,
     build_family,
     build_phi,
@@ -203,7 +203,7 @@ def corrupted(seq, rng, insert):
         key = rng.choice(sorted(terms))
         terms[key] += random_rational(rng)
     polys[k] = AppellPoly(k, terms)
-    return dataclasses.replace(seq, polys=polys)
+    return AppellSequence(seq.family, polys, seq.coeffs, seq.lam)
 
 
 def test_certify_matches_reference_route():
