@@ -356,12 +356,35 @@ def apply_transfer(
     family: str = "custom",
     lam: Fraction | None = None,
 ) -> AppellSequence:
-    """New sequence with polys[k] = sum_j T[k][j] * base.polys[j]."""
+    """New sequence with polys[k] = sum_j T[k][j] * base.polys[j].
+
+    Each member's terms go into one dict, as `TriMatrix.apply` would add
+    the members (same terms, same order, zero sums dropped) but without an
+    AppellPoly per product.  Over a `build_phi` base no key collides.
+    """
     if transfer.order != base.m:
         raise ValueError(
             f"transfer order {transfer.order} does not match sequence length {base.m}"
         )
-    return AppellSequence(family, transfer.apply(base.polys), base.coeffs, lam)
+    polys = []
+    for k, row in enumerate(transfer.rows):
+        sources = [(t, base.polys[l]) for l, t in enumerate(row) if t]
+        terms: dict[tuple[int, int], Fraction] = {}
+        for t, source in sources:
+            for key, a in source.terms.items():
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = t * a
+                else:
+                    total = old + t * a
+                    if total:
+                        terms[key] = total
+                    else:
+                        del terms[key]
+        poly = AppellPoly(max((p.degree for _, p in sources), default=base.polys[k].degree))
+        poly.terms = terms
+        polys.append(poly)
+    return AppellSequence(family, polys, base.coeffs, lam)
 
 
 def build_family(

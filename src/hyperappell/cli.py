@@ -32,7 +32,8 @@ from .appell import (
 )
 from .clifford import Multivector, Paravector
 from .operators import VerifyReport, certify
-from .rationals import parse_rational, read_rational
+from .jsonwriter import dump_json
+from .rationals import approximate, parse_rational, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
     TriMatrix,
@@ -59,17 +60,15 @@ def _parse_point(text: str, n: int) -> Paravector:
     return Paravector(coords[0], tuple(coords[1:]))
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _csv_text(header: list[str], rows, with_float: bool) -> str:
     """CSV whose last column is exact; --float appends it as an "approx" column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header + ["approx"] if with_float else header)
     for row in rows:
-        writer.writerow([*row, float(parse_rational(row[-1]))] if with_float else row)
+        if with_float:
+            row = [*row, approximate(parse_rational(row[-1]), "--float")]
+        writer.writerow(row)
     return buf.getvalue()
 
 
@@ -85,7 +84,7 @@ def _mv_json(mv: Multivector, with_float: bool) -> dict:
     payload = mv.to_json()
     if with_float:
         for term in payload["terms"]:
-            term["approx"] = float(parse_rational(term["coeff"]))
+            term["approx"] = approximate(parse_rational(term["coeff"]), "--float")
     return payload
 
 
@@ -137,8 +136,8 @@ def cmd_gen(args) -> int:
     if args.format == "json":
         payload = seq.to_json()
         if args.float:
-            payload["coeffs_approx"] = [float(c) for c in seq.coeffs.values]
-        text = _dump_json(payload)
+            payload["coeffs_approx"] = [approximate(c, "--float") for c in seq.coeffs.values]
+        text = dump_json(payload)
     elif args.format == "csv":
         text = _csv_text(["k", "i", "j", "a"], seq.csv_rows(), args.float)
     else:
@@ -179,7 +178,7 @@ def _pretty_report(report: VerifyReport, m: int) -> str:
 def cmd_verify(args) -> int:
     seq = _load_sequence(args)
     report = certify(seq)
-    text = _dump_json(report.to_json()) if args.format == "json" else _pretty_report(report, seq.m)
+    text = dump_json(report.to_json()) if args.format == "json" else _pretty_report(report, seq.m)
     _emit(text, args.output)
     return 0 if report.ok else 1
 
@@ -199,7 +198,7 @@ def cmd_eval(args) -> int:
                 for k, mv in enumerate(values)
             ],
         }
-        text = _dump_json(payload)
+        text = dump_json(payload)
     elif args.format == "csv":
         rows = [[k, *row] for k, mv in enumerate(values) for row in _mv_rows(mv)]
         text = _csv_text(["k", "blade", "coeff"], rows, args.float)
@@ -245,8 +244,10 @@ def cmd_matrices(args) -> int:
     if args.format == "json":
         payload = matrix.to_json()
         if args.float:
-            payload["rows_approx"] = [[float(v) for v in row] for row in matrix.rows]
-        text = _dump_json(payload)
+            payload["rows_approx"] = [
+                [approximate(v, "--float") for v in row] for row in matrix.rows
+            ]
+        text = dump_json(payload)
     elif args.format == "csv":
         rows = [[i, j, str(v)] for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
         text = _csv_text(["i", "j", "value"], rows, args.float)
@@ -270,7 +271,7 @@ def cmd_exp(args) -> int:
             "point": [str(v) for v in (point.x0, *point.vec)],
             "value": _mv_json(value, args.float),
         }
-        text = _dump_json(payload)
+        text = dump_json(payload)
     elif args.format == "csv":
         text = _csv_text(["blade", "coeff"], _mv_rows(value), args.float)
     else:

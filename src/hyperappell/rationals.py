@@ -5,7 +5,8 @@ Every coefficient in this package is an arbitrary-precision rational, so
 point tolerance.  ``Rational`` is :class:`fractions.Fraction`, which already
 stores values in lowest terms with a positive denominator and serializes as
 ``"p/q"`` (or ``"p"`` when the denominator is 1), the wire format used by
-all JSON and CSV output.
+all JSON and CSV output.  `approximate` gives the optional decimal
+renderings next to the exact values.
 """
 
 from __future__ import annotations
@@ -65,3 +66,15 @@ def double_factorial(k: int) -> int:
         result *= k
         k -= 2
     return result
+
+
+def approximate(value: Fraction, name: str) -> float:
+    """float(value) for a decimal rendering next to an exact value.
+
+    A value beyond the double range is a ValueError that names the option
+    asking for the rendering, not an OverflowError.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} cannot render a value beyond the range of a float") from None

@@ -19,16 +19,19 @@ series, built from that column in O(m^2):
     Frobenius-Euler     (1 - lam) / (e^z - lam)
     Hermite             exp(-z^2 / 4)
 
-`nilpotent_exp`, `tri_inverse` and `TriMatrix.power` compute the same
-matrices by the defining matrix series and stay as the reference route.
-Entries are Fractions throughout; nothing here ever rounds.
+The column of a reciprocal series comes from `egf_reciprocal`, with one
+Fraction normalization per coefficient instead of one per product and
+partial sum.  `nilpotent_exp`, `tri_inverse` and `TriMatrix.power`
+compute the same matrices by the defining matrix series and stay as the
+reference route.  Entries are Fractions throughout; nothing here ever
+rounds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .rationals import ONE, ZERO, parse_rational
 
@@ -297,11 +300,31 @@ def egf_reciprocal(g: Sequence[Fraction]) -> list[Fraction]:
 
     Forward substitution on column 0 of g(H) f(H) = I:
     f_k = -(1/g_0) sum_(l<k) C(k, l) g_(k-l) f_l.
+    Each f_k is normalized once: the k products stay integer
+    numerator/denominator pairs, are summed over the lcm of their
+    denominators, and only that sum becomes a Fraction (one gcd).
     """
+    g_num = [v.numerator for v in g]
+    g_den = [v.denominator for v in g]
+    f_num: list[int] = []
+    f_den: list[int] = []
     f: list[Fraction] = []
+    binomials: list[int] = []
     for k in range(len(g)):
-        acc = ONE if k == 0 else -sum(comb(k, l) * g[k - l] * f[l] for l in range(k))
-        f.append(acc / g[0])
+        # C(k, 0..k) from C(k-1, 0..k-1) by Pascal's rule: one addition per entry
+        binomials = [1] + [a + b for a, b in zip(binomials, binomials[1:] + [0])]
+        pairs = [
+            (binomials[l] * g_num[k - l] * f_num[l], g_den[k - l] * f_den[l])
+            for l in range(k)
+            if g_num[k - l] and f_num[l]
+        ]
+        den = lcm(*(d for _, d in pairs))
+        total = -sum(p * (den // d) for p, d in pairs) if k else 1
+        # a zero g_0 raises ZeroDivisionError here, at k = 0
+        value = Fraction(total * g_den[0], den * g_num[0])
+        f.append(value)
+        f_num.append(value.numerator)
+        f_den.append(value.denominator)
     return f
 
 

@@ -93,6 +93,19 @@ def dense_pascal_one(m: int) -> list[list[Fraction]]:
     return [[Fraction(comb(i, j)) for j in range(m + 1)] for i in range(m + 1)]
 
 
+def egf_reciprocal_by_fractions(g: list[Fraction]) -> list[Fraction]:
+    """Exponential generating coefficients of 1/g by the Fraction recurrence.
+
+    f_k = -(1/g_0) sum_(l<k) C(k, l) g_(k-l) f_l, with every product and
+    partial sum a normalized Fraction; the library sums each f_k over an lcm.
+    """
+    f: list[Fraction] = []
+    for k in range(len(g)):
+        acc = Fraction(1) if k == 0 else -sum(comb(k, l) * g[k - l] * f[l] for l in range(k))
+        f.append(acc / g[0])
+    return f
+
+
 # -- classical polynomial families, ascending coefficient lists -------------
 
 

@@ -24,7 +24,14 @@ from hyperappell.appell import (
 from hyperappell.clifford import Multivector, Paravector, vector_power
 from hyperappell.rationals import double_factorial
 from hyperappell.polynomials import CliffordPoly
-from hyperappell.trimatrix import TriMatrix, bernoulli_transfer, creation_matrix, nilpotent_exp
+from hyperappell.trimatrix import (
+    TriMatrix,
+    bernoulli_transfer,
+    creation_matrix,
+    frobenius_euler_transfer,
+    nilpotent_exp,
+    tri_inverse,
+)
 
 from oracles import bernoulli_polys, euler_polys_inverse, euler_polys_recurrence, hermite_polys_recurrence, hermite_polys_series
 
@@ -336,6 +343,29 @@ def test_identity_transfer_is_noop():
     base = build_family(2, 4)
     same = apply_transfer(TriMatrix.identity(4), base, family="canonical")
     assert same.polys == base.polys
+
+
+def test_apply_transfer_matches_matrix_action():
+    # The matrix action adds one AppellPoly per nonzero entry.  Over a transferred
+    # (mixed-degree) base the products of a member collide, and transferring back
+    # cancels them down to phi; rows of zeros keep the degree of the base member.
+    def layout(polys):
+        return [(p.degree, list(p.terms.items())) for p in polys]
+
+    m = 9
+    for base in (build_family(3, m), build_family(3, m, "bernoulli"), build_family(2, m, "hermite")):
+        for transfer in (
+            bernoulli_transfer(m),
+            frobenius_euler_transfer(Fraction(-4, 7), m),
+            tri_inverse(bernoulli_transfer(m)),
+            creation_matrix(m),
+            TriMatrix.zeros(m),
+        ):
+            fast = apply_transfer(transfer, base, family="custom")
+            assert layout(fast.polys) == layout(transfer.apply(base.polys))
+            assert fast.coeffs == base.coeffs
+    back = apply_transfer(tri_inverse(bernoulli_transfer(m)), build_family(3, m, "bernoulli"))
+    assert back.polys == build_phi(coefficient_sequence(3, m)).polys
 
 
 def test_transfer_order_mismatch():

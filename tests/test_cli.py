@@ -560,6 +560,77 @@ def test_exp_dimension_rule_comes_before_point_length(n, point):
     assert proc.stderr == f"error: dimension n must be at least 1, got {n}\n"
 
 
+# -- --float renderings and the JSON writer -------------------------------------
+
+
+HUGE = "1" + "0" * 310  # beyond the largest double, about 1.8e308
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("matrices", "--m", "120", "--pascal=1000000"),
+        ("exp", "--n", "1", "--point=100000,1", "--order", "300"),
+        ("eval", "--n", "2", "--m", "3", "--point", f"{HUGE},1,2"),
+        ("gen", "--n", "2", "--m", "3", "--c0", HUGE),
+    ],
+    ids=["matrices", "exp", "eval", "gen"],
+)
+def test_float_beyond_double_range_exits_2(args, fmt):
+    proc = run_cli(*args, "--float", "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --float ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def run_main(argv):
+    """cli.main in this process: (status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+# Every kind of JSON payload the CLI writes, at the sizes the benchmark runs.
+MATRIX_FLAGS = {
+    "bernoulli": ["--family", "bernoulli"],
+    "euler": ["--family", "euler"],
+    "hermite": ["--family", "hermite"],
+    "frobenius-euler": ["--family", "frobenius-euler", "--lambda=-5/2"],
+    "pascal": ["--pascal=-3/7"],
+}
+WRITER_CASES = {
+    "gen": ["gen", "--n", "4", "--m", "32", "--family", "frobenius-euler", "--lambda=-3/7"],
+    "gen-float": ["gen", "--n", "2", "--m", "12", "--family", "bernoulli", "--float"],
+    "verify": ["verify", "--n", "8", "--m", "10", "--family", "euler"],
+    "verify-witness": ["verify", "--input", "CORRUPTED"],
+    "eval": ["eval", "--n", "3", "--m", "10", "--family", "hermite", "--point", "1/2,-1,2/3,4",
+             "--float"],
+    "exp": ["exp", "--n", "3", "--point", "-1/3,1,2/5,-2", "--order", "60", "--float"],
+    **{
+        f"matrices-{name}{suffix}": ["matrices", "--m", "56", *flags, *extra]
+        for name, flags in MATRIX_FLAGS.items()
+        for suffix, extra in (("", []), ("-float", ["--float"]))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
+    doc = build_family(3, 12, "frobenius-euler", lam=Fraction(-3, 7)).to_json()
+    doc["polys"][7]["terms"][2]["a"] = "5/3"
+    corrupted = tmp_path / "corrupted.json"
+    corrupted.write_text(json.dumps(doc))
+    argv = [str(corrupted) if arg == "CORRUPTED" else arg for arg in WRITER_CASES[name]]
+    fast = run_main(argv)
+    monkeypatch.setattr(
+        cli, "dump_json", lambda payload: json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    )
+    assert run_main(argv) == fast
+    assert fast[0] == (1 if name == "verify-witness" else 0), fast[2]
+    assert ('"witness"' in fast[1]) == (name == "verify-witness")
+
+
 # -- global behaviour ------------------------------------------------------------
 
 

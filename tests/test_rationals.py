@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperappell.jsonwriter import dump_json
 from hyperappell.rationals import (
+    approximate,
     binomial,
     double_factorial,
     parse_rational,
@@ -71,3 +74,39 @@ def test_double_factorial_splits_factorial():
 def test_double_factorial_rejects_below_minus_one():
     with pytest.raises(ValueError):
         double_factorial(-2)
+
+
+def test_approximate_refuses_values_beyond_float_range():
+    assert approximate(Fraction(-3, 4), "--float") == -0.75
+    assert approximate(Fraction(10**400 + 1, 10**400), "--float") == 1.0
+    assert approximate(Fraction(1, 10**400), "--float") == 0.0
+    for value in (Fraction(10**400), Fraction(-(10**310), 7)):
+        with pytest.raises(ValueError, match="^--float "):
+            approximate(value, "--float")
+
+
+# What json encodes: scalars, lists, tuples (written as lists) and string-keyed objects.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.text()).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example(
+    {
+        'quote " and backslash \\': ["\x00\x1f\x7f\n\t", "\u00e9 \u4e2d \U0001f600", "\ud800"],
+        "numbers": [0, -7, 10**400, -(10**400), -0.0, 1e300, -1e-300, 0.1, 1.5],
+        "non-finite": [float("nan"), float("inf"), float("-inf")],
+        "flags": [True, False, None],
+        "empty": [[], {}, (), ""],
+        "nested": [[[{"b": [1, "x"], "a": {}}]], {"z": [], "y": [[]]}],
+    }
+)
+def test_dump_json_is_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

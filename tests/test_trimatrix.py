@@ -12,6 +12,7 @@ from hyperappell.trimatrix import (
     bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
+    egf_reciprocal,
     euler_transfer,
     frobenius_euler_transfer,
     hermite_transfer,
@@ -30,6 +31,7 @@ from oracles import (
     dense_mul,
     dense_pascal_one,
     dense_scale,
+    egf_reciprocal_by_fractions,
 )
 
 # The transfer builders are checked against the slow routes for every order
@@ -150,6 +152,31 @@ def test_tri_inverse_round_trip():
 def test_tri_inverse_singular():
     with pytest.raises(ZeroDivisionError):
         tri_inverse(creation_matrix(2))
+
+
+# rationals with negative and fractional values and numerators of up to 100 digits
+egf_entries = st.one_of(
+    st.fractions(max_denominator=1000),
+    st.builds(Fraction, st.integers(-(10**100), 10**100), st.integers(1, 10**40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(egf_entries, max_size=16).filter(lambda g: not g or g[0]))
+@example([])
+@example([Fraction(-3, 7)])
+@example([Fraction(10**60 + 1, 7), Fraction(-1, 3), 0, 0, Fraction(5, 2)])
+@example([2, 0, 0, 0, 0, 0])
+def test_egf_reciprocal_matches_fraction_recurrence(g):
+    fast = egf_reciprocal(g)
+    assert fast == egf_reciprocal_by_fractions(g)
+    assert all(type(v) is Fraction for v in fast)
+
+
+def test_egf_reciprocal_refuses_zero_head():
+    for g in ([0], [Fraction(0), Fraction(1), Fraction(1)], [0, 5]):
+        with pytest.raises(ZeroDivisionError):
+            egf_reciprocal(g)
 
 
 def test_bernoulli_transfer_first_column():
