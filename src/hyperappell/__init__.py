@@ -11,7 +11,6 @@ from .appell import (
     AppellPoly,
     AppellSequence,
     CoeffSequence,
-    apply_transfer,
     build_family,
     build_phi,
     closed_form_coefficient,
@@ -38,7 +37,7 @@ from .operators import (
     partial_x0,
 )
 from .polynomials import CliffordPoly
-from .rationals import Rational, binomial, double_factorial, parse_rational, read_rational
+from .rationals import binomial, double_factorial, parse_rational, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
     TriMatrix,
@@ -67,11 +66,9 @@ __all__ = [
     "FAMILIES",
     "Multivector",
     "Paravector",
-    "Rational",
     "TRANSFER_FAMILIES",
     "TriMatrix",
     "VerifyReport",
-    "apply_transfer",
     "appell_matrix",
     "bernoulli_transfer",
     "binomial",

@@ -341,50 +341,30 @@ def _json_get(node, key: str, kind: type, default=None):
     return value
 
 
-def build_phi(coeffs: CoeffSequence) -> AppellSequence:
-    """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..coeffs.m."""
-    polys = [
-        AppellPoly(k, {(k - j, j): binomial(k, j) * coeffs.values[j] for j in range(k + 1)})
-        for k in range(coeffs.m + 1)
-    ]
-    return AppellSequence(family="canonical", polys=polys, coeffs=coeffs)
+def _transferred_members(transfer: TriMatrix, coeffs: CoeffSequence) -> list[AppellPoly]:
+    """Members (T phi)_k for k = 0..coeffs.m, phi's terms computed once.
 
-
-def apply_transfer(
-    transfer: TriMatrix,
-    base: AppellSequence,
-    family: str = "custom",
-    lam: Fraction | None = None,
-) -> AppellSequence:
-    """New sequence with polys[k] = sum_j T[k][j] * base.polys[j].
-
-    Each member's terms go into one dict, as `TriMatrix.apply` would add
-    the members (same terms, same order, zero sums dropped) but without an
-    AppellPoly per product.  Over a `build_phi` base no key collides.
+    phi_l is homogeneous of degree l, so x0^i v^j occurs only in phi_(i+j):
+    row k of T scales whole members and no two products share a key.
+    Member k has degree k, since every transfer in use has t_0 != 0.
     """
-    if transfer.order != base.m:
-        raise ValueError(
-            f"transfer order {transfer.order} does not match sequence length {base.m}"
-        )
+    values = coeffs.values
+    phi = [
+        [((l - j, j), binomial(l, j) * values[j]) for j in range(l + 1) if values[j]]
+        for l in range(coeffs.m + 1)
+    ]
     polys = []
     for k, row in enumerate(transfer.rows):
-        sources = [(t, base.polys[l]) for l, t in enumerate(row) if t]
-        terms: dict[tuple[int, int], Fraction] = {}
-        for t, source in sources:
-            for key, a in source.terms.items():
-                old = terms.get(key)
-                if old is None:
-                    terms[key] = t * a
-                else:
-                    total = old + t * a
-                    if total:
-                        terms[key] = total
-                    else:
-                        del terms[key]
-        poly = AppellPoly(max((p.degree for _, p in sources), default=base.polys[k].degree))
-        poly.terms = terms
+        poly = AppellPoly(k)
+        poly.terms = {key: t * a for l, t in enumerate(row) if t for key, a in phi[l]}
         polys.append(poly)
-    return AppellSequence(family, polys, base.coeffs, lam)
+    return polys
+
+
+def build_phi(coeffs: CoeffSequence) -> AppellSequence:
+    """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..coeffs.m."""
+    polys = _transferred_members(TriMatrix.identity(coeffs.m), coeffs)
+    return AppellSequence(family="canonical", polys=polys, coeffs=coeffs)
 
 
 def build_family(
@@ -395,16 +375,17 @@ def build_family(
     lam: Fraction | None = None,
     shift: int = 0,
 ) -> AppellSequence:
-    """Construct a named sequence: the basic one, or a transfer applied to it.
+    """Construct a named sequence: the basic one, or its transfer T phi.
 
     The header rules are `check_header`'s, the same a loaded file passes.
+    `TriMatrix.apply` on `build_phi`'s members is the reference for T phi.
     """
     check_header(family, lam, shift)
-    base = build_phi(coefficient_sequence(n, m, c0=c0, shift=shift))
+    coeffs = coefficient_sequence(n, m, c0=c0, shift=shift)
     if family == "canonical":
-        return base
-    transfer = transfer_matrix(family, m, lam)
-    return apply_transfer(transfer, base, family, lam=None if lam is None else Fraction(lam))
+        return build_phi(coeffs)
+    polys = _transferred_members(transfer_matrix(family, m, lam), coeffs)
+    return AppellSequence(family, polys, coeffs, None if lam is None else Fraction(lam))
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

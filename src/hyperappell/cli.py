@@ -3,7 +3,8 @@
 Five subcommands: gen builds a sequence, verify certifies one, eval
 evaluates at a rational point, matrices emits the structural matrices,
 exp sums the truncated generalized exponential.  All arithmetic is exact;
---float (not on verify) only adds decimal renderings next to the exact values.
+--float (json and csv; not on verify) only adds decimal renderings next to
+the exact values.
 
 Output is deterministic: JSON keys are sorted, list orders are fixed by
 the library's canonical term ordering, and CSV uses a fixed header and
@@ -73,11 +74,14 @@ def _csv_text(header: list[str], rows, with_float: bool) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc}") from None
 
 
 def _mv_json(mv: Multivector, with_float: bool) -> dict:
@@ -373,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        if getattr(args, "float", False) and args.format == "pretty":
+            raise ValueError("--float applies to json and csv output, not to pretty")
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

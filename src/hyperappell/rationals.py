@@ -2,8 +2,8 @@
 
 Every coefficient in this package is an arbitrary-precision rational, so
 "equals zero" is decidable and certification never depends on a floating
-point tolerance.  ``Rational`` is :class:`fractions.Fraction`, which already
-stores values in lowest terms with a positive denominator and serializes as
+point tolerance.  Values are :class:`fractions.Fraction`, which already
+stores them in lowest terms with a positive denominator and serializes as
 ``"p/q"`` (or ``"p"`` when the denominator is 1), the wire format used by
 all JSON and CSV output.  `approximate` gives the optional decimal
 renderings next to the exact values.
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

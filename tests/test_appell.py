@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperappell.appell import (
+    FAMILIES,
     AppellPoly,
     AppellSequence,
-    apply_transfer,
     build_family,
     build_phi,
     closed_form_coefficient,
@@ -25,11 +25,10 @@ from hyperappell.clifford import Multivector, Paravector, vector_power
 from hyperappell.rationals import double_factorial
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.trimatrix import (
-    TriMatrix,
     bernoulli_transfer,
     creation_matrix,
-    frobenius_euler_transfer,
     nilpotent_exp,
+    transfer_matrix,
     tri_inverse,
 )
 
@@ -339,39 +338,43 @@ def test_complex_reduction_property(x0, x1):
 # -- transfer families --------------------------------------------------------
 
 
-def test_identity_transfer_is_noop():
-    base = build_family(2, 4)
-    same = apply_transfer(TriMatrix.identity(4), base, family="canonical")
-    assert same.polys == base.polys
-
-
-def test_apply_transfer_matches_matrix_action():
-    # The matrix action adds one AppellPoly per nonzero entry.  Over a transferred
-    # (mixed-degree) base the products of a member collide, and transferring back
-    # cancels them down to phi; rows of zeros keep the degree of the base member.
+@pytest.mark.parametrize("lam", [Fraction(-4, 7), Fraction(3, 2)])
+def test_build_family_is_transfer_applied_to_phi(lam):
+    # The reference builds phi term by term through AppellPoly and adds one
+    # AppellPoly per nonzero entry of T; the builder scales phi's terms straight
+    # into each member.  Same degree, terms and key order.
     def layout(polys):
         return [(p.degree, list(p.terms.items())) for p in polys]
 
+    c0 = Fraction(-3, 5)
+    for n in range(1, 5):
+        for m in range(13):
+            cs = coefficient_sequence(n, m, c0=c0)
+            phi = [
+                AppellPoly(k, {(k - j, j): math.comb(k, j) * cs.values[j] for j in range(k + 1)})
+                for k in range(m + 1)
+            ]
+            assert layout(build_phi(cs).polys) == layout(phi)
+            for family in FAMILIES:
+                seq = build_family(n, m, family, c0=c0, lam=lam if family == "frobenius-euler" else None)
+                reference = phi if family == "canonical" else transfer_matrix(family, m, seq.lam).apply(phi)
+                assert layout(seq.polys) == layout(reference)
+                assert seq.coeffs == cs
+
+
+def test_build_phi_omits_zero_coefficients():
+    cs = coefficient_sequence(3, 6).with_value(3, 0)
+    polys = build_phi(cs).polys
+    for k, poly in enumerate(polys):
+        assert poly.degree == k
+        assert (k - 3, 3) not in poly.terms
+        assert len(poly.terms) == k + 1 - (k >= 3)
+
+
+def test_inverse_transfer_returns_phi():
     m = 9
-    for base in (build_family(3, m), build_family(3, m, "bernoulli"), build_family(2, m, "hermite")):
-        for transfer in (
-            bernoulli_transfer(m),
-            frobenius_euler_transfer(Fraction(-4, 7), m),
-            tri_inverse(bernoulli_transfer(m)),
-            creation_matrix(m),
-            TriMatrix.zeros(m),
-        ):
-            fast = apply_transfer(transfer, base, family="custom")
-            assert layout(fast.polys) == layout(transfer.apply(base.polys))
-            assert fast.coeffs == base.coeffs
-    back = apply_transfer(tri_inverse(bernoulli_transfer(m)), build_family(3, m, "bernoulli"))
-    assert back.polys == build_phi(coefficient_sequence(3, m)).polys
-
-
-def test_transfer_order_mismatch():
-    base = build_family(2, 4)
-    with pytest.raises(ValueError):
-        apply_transfer(TriMatrix.identity(3), base)
+    back = tri_inverse(bernoulli_transfer(m)).apply(build_family(3, m, "bernoulli").polys)
+    assert back == build_phi(coefficient_sequence(3, m)).polys
 
 
 def test_bernoulli_phi1():

@@ -631,6 +631,46 @@ def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     assert ('"witness"' in fast[1]) == (name == "verify-witness")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen", "--n", "2", "--m", "2"),
+        ("eval", "--n", "2", "--m", "2", "--point", "1,2,0"),
+        ("matrices", "--m", "2"),
+        ("exp", "--n", "1", "--point", "0,1", "--order", "3"),
+    ],
+    ids=["gen", "eval", "matrices", "exp"],
+)
+def test_float_with_pretty_exits_2(args):
+    # pretty output has no place for decimals, so the flag is refused, not ignored
+    status, out, err = run_main([*args, "--format", "pretty", "--float"])
+    assert (status, out) == (2, "")
+    assert err == "error: --float applies to json and csv output, not to pretty\n"
+
+
+# -- --output failures -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("gen", "--n", "2", "--m", "2"), ("verify", "--n", "2", "--m", "2"), ("matrices", "--m", "2")],
+    ids=["gen", "verify", "matrices"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_failed_output_write_exits_2(tmp_path, args, target):
+    path = str(tmp_path / "absent" / "x.json") if target == "missing-dir" else str(tmp_path)
+    status, out, err = run_main([*args, "--output", path])
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_output_to_full_device_exits_2():
+    status, out, err = run_main(["verify", "--n", "2", "--m", "2", "--output", "/dev/full"])
+    assert (status, out) == (2, "")
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1, err
+
+
 # -- global behaviour ------------------------------------------------------------
 
 
