@@ -258,7 +258,8 @@ class AppellSequence:
         """Set the vector part to zero; ascending x0 coefficients per degree."""
         return [restrict_poly(p) for p in self.polys]
 
-    def to_json(self) -> dict:
+    def lazy_json(self) -> dict:
+        """`to_json` with the members as a generator, for a writer that streams them."""
         return {
             "n": self.n,
             "family": self.family,
@@ -266,7 +267,7 @@ class AppellSequence:
             "s": self.shift,
             "m": self.m,
             "coeffs": [str(c) for c in self.coeffs.values],
-            "polys": [
+            "polys": (
                 {
                     "k": k,
                     "terms": [
@@ -275,8 +276,13 @@ class AppellSequence:
                     ],
                 }
                 for k, poly in enumerate(self.polys)
-            ],
+            ),
         }
+
+    def to_json(self) -> dict:
+        payload = self.lazy_json()
+        payload["polys"] = list(payload["polys"])
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "AppellSequence":

@@ -33,7 +33,7 @@ from .appell import (
 )
 from .clifford import Multivector, Paravector
 from .operators import VerifyReport, certify
-from .jsonwriter import dump_json
+from .jsonwriter import write_json
 from .rationals import approximate, parse_rational, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
@@ -73,13 +73,14 @@ def _csv_text(header: list[str], rows, with_float: bool) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, output: str | None) -> None:
-    if not output:
-        sys.stdout.write(text)
-        return
+def _emit(out, output: str | None) -> None:
+    """Write text, or a JSON payload piece by piece, to stdout or to the file `output`."""
+    write_out = write_json if isinstance(out, dict) else lambda text, write: write(text)
+    if output is None:
+        return write_out(out, sys.stdout.write)
     try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write_out(out, fh.write)
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc}") from None
 
@@ -138,12 +139,11 @@ def _load_sequence(args) -> AppellSequence:
 def cmd_gen(args) -> int:
     seq = _sequence_from_flags(args)
     if args.format == "json":
-        payload = seq.to_json()
+        out = seq.lazy_json()
         if args.float:
-            payload["coeffs_approx"] = [approximate(c, "--float") for c in seq.coeffs.values]
-        text = dump_json(payload)
+            out["coeffs_approx"] = [approximate(c, "--float") for c in seq.coeffs.values]
     elif args.format == "csv":
-        text = _csv_text(["k", "i", "j", "a"], seq.csv_rows(), args.float)
+        out = _csv_text(["k", "i", "j", "a"], seq.csv_rows(), args.float)
     else:
         lines = [f"family: {seq.family}  n: {seq.n}  m: {seq.m}  s: {seq.shift}"]
         if seq.lam is not None:
@@ -151,8 +151,8 @@ def cmd_gen(args) -> int:
         lines.append("coeffs: " + ", ".join(map(str, seq.coeffs.values)))
         for k, poly in enumerate(seq.polys):
             lines.append(f"phi_{k} = {poly}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+        out = "\n".join(lines) + "\n"
+    _emit(out, args.output)
     return 0
 
 
@@ -182,8 +182,8 @@ def _pretty_report(report: VerifyReport, m: int) -> str:
 def cmd_verify(args) -> int:
     seq = _load_sequence(args)
     report = certify(seq)
-    text = dump_json(report.to_json()) if args.format == "json" else _pretty_report(report, seq.m)
-    _emit(text, args.output)
+    out = report.to_json() if args.format == "json" else _pretty_report(report, seq.m)
+    _emit(out, args.output)
     return 0 if report.ok else 1
 
 
@@ -192,7 +192,7 @@ def cmd_eval(args) -> int:
     point = _parse_point(args.point, seq.n)
     values = seq.eval_at(point)
     if args.format == "json":
-        payload = {
+        out = {
             "family": seq.family,
             "n": seq.n,
             "m": seq.m,
@@ -202,14 +202,13 @@ def cmd_eval(args) -> int:
                 for k, mv in enumerate(values)
             ],
         }
-        text = dump_json(payload)
     elif args.format == "csv":
         rows = [[k, *row] for k, mv in enumerate(values) for row in _mv_rows(mv)]
-        text = _csv_text(["k", "blade", "coeff"], rows, args.float)
+        out = _csv_text(["k", "blade", "coeff"], rows, args.float)
     else:
         lines = [f"phi_{k}(x) = {mv}" for k, mv in enumerate(values)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+        out = "\n".join(lines) + "\n"
+    _emit(out, args.output)
     return 0
 
 
@@ -246,21 +245,20 @@ def _matrix_from_flags(args) -> TriMatrix:
 def cmd_matrices(args) -> int:
     matrix = _matrix_from_flags(args)
     if args.format == "json":
-        payload = matrix.to_json()
+        out = matrix.lazy_json()
         if args.float:
-            payload["rows_approx"] = [
+            out["rows_approx"] = [
                 [approximate(v, "--float") for v in row] for row in matrix.rows
             ]
-        text = dump_json(payload)
     elif args.format == "csv":
         rows = [[i, j, str(v)] for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
-        text = _csv_text(["i", "j", "value"], rows, args.float)
+        out = _csv_text(["i", "j", "value"], rows, args.float)
     else:
         cells = [[str(v) for v in row] for row in matrix.rows]
         width = max(len(c) for row in cells for c in row)
         lines = [" ".join(c.rjust(width) for c in row) for row in cells]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+        out = "\n".join(lines) + "\n"
+    _emit(out, args.output)
     return 0
 
 
@@ -269,18 +267,17 @@ def cmd_exp(args) -> int:
     point = _parse_point(args.point, args.n)
     value = exp_truncated(point, args.order)
     if args.format == "json":
-        payload = {
+        out = {
             "n": args.n,
             "order": args.order,
             "point": [str(v) for v in (point.x0, *point.vec)],
             "value": _mv_json(value, args.float),
         }
-        text = dump_json(payload)
     elif args.format == "csv":
-        text = _csv_text(["blade", "coeff"], _mv_rows(value), args.float)
+        out = _csv_text(["blade", "coeff"], _mv_rows(value), args.float)
     else:
-        text = f"Exp_{args.n}(x) truncated at {args.order}: {value}\n"
-    _emit(text, args.output)
+        out = f"Exp_{args.n}(x) truncated at {args.order}: {value}\n"
+    _emit(out, args.output)
     return 0
 
 

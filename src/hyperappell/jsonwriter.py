@@ -1,9 +1,12 @@
 """The JSON writer of the command line.
 
-`dump_json` gives the bytes of ``json.dumps(payload, sort_keys=True,
-indent=2)`` plus a newline, faster: with an indent, CPython's json module
-skips its C encoder for a pure-Python generator.  The package does not
-import this module, so loading the library does not load `json`.
+`write_json` writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+newline in pieces, one per item of each top-level array (a sequence member,
+a matrix row), so no command holds its whole payload tree or output text.
+Any iterable, such as a lazy generator, may stand where the JSON has an
+array.  A written piece stays written: callers run whatever can fail first.
+With an indent, json skips its C encoder, so this writer is also faster.
+The package does not import this module, so the library does not load json.
 """
 
 from __future__ import annotations
@@ -12,15 +15,34 @@ import math
 from json.encoder import encode_basestring_ascii
 
 
-def dump_json(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+def write_json(payload, write) -> None:
+    """Hand `write` the text of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
 
-    Strings are quoted by json's C routine, scalars are looked up by exact
-    type, and each container is joined once (a list of strings in one
-    join).  Keys must be strings.  Unlike json, the writer refuses a
+    Strings are quoted by json's C routine and scalars looked up by exact
+    type.  Keys must be strings.  Unlike json, the writer refuses a
     subclass of str, int or float (TypeError); no payload holds one.
     """
-    return _json_text(payload, "\n") + "\n"
+    if not isinstance(payload, dict) or not payload:
+        write(_write_items(payload, "\n", "", write) + "\n")
+        return
+    head = "{"
+    for key in sorted(payload):
+        head += "\n  " + encode_basestring_ascii(key) + ": "
+        head = _write_items(payload[key], "\n  ", head, write) + ","
+    write(head[:-1] + "\n}\n")
+
+
+def _write_items(value, indent: str, head: str, write) -> str:
+    """Write `head` and an array `value`, one item per piece; return the text still to write."""
+    if type(value) in _JSON_SCALARS or isinstance(value, dict):
+        return head + _json_text(value, indent)
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner, sep = indent + "  ", "["
+    for item in value:
+        write(head + sep + inner + _json_text(item, inner))
+        head, sep = "", ","
+    return head + "[]" if sep == "[" else indent + "]"
 
 
 def _float_text(value: float) -> str:
@@ -47,10 +69,10 @@ def _json_text(value, indent: str) -> str:
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
+        inner = indent + "  "
         body = []
         for key in sorted(value):
             item = value[key]
@@ -58,12 +80,6 @@ def _json_text(value, indent: str) -> str:
             text = scalar(item) if scalar else _json_text(item, inner)
             body.append(encode_basestring_ascii(key) + ": " + text)
         return "{" + inner + ("," + inner).join(body) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(item) is str for item in value):
-            body = map(encode_basestring_ascii, value)
-        else:
-            body = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(body) + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    pieces: list[str] = []
+    tail = _write_items(value, indent, "", pieces.append)
+    return "".join(pieces) + tail

@@ -196,11 +196,17 @@ class TriMatrix:
         body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"TriMatrix[{body}]"
 
-    def to_json(self) -> dict:
+    def lazy_json(self) -> dict:
+        """`to_json` with the rows as a generator, for a writer that streams them."""
         return {
             "m": self.order,
-            "rows": [[str(v) for v in row] for row in self.rows],
+            "rows": ([str(v) for v in row] for row in self.rows),
         }
+
+    def to_json(self) -> dict:
+        payload = self.lazy_json()
+        payload["rows"] = list(payload["rows"])
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "TriMatrix":

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperappell import build_family, build_phi, cli, coefficient_sequence
+from hyperappell import FAMILIES, build_family, build_phi, cli, coefficient_sequence
 
 PKG = "hyperappell"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,6 +87,19 @@ def test_gen_output_file_matches_stdout(tmp_path):
     proc_stdout = run_cli("gen", "--n", "2", "--m", "3")
     assert proc_file.returncode == 0
     assert out.read_text() == proc_stdout.stdout
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 5), (4, 9)])
+def test_streamed_gen_json_is_json_dumps_of_to_json(tmp_path, family, n, m):
+    lam = Fraction(-4, 7) if family == "frobenius-euler" else None
+    lam_flag = ["--lambda=-4/7"] if lam is not None else []
+    expected = json.dumps(build_family(n, m, family, lam=lam).to_json(), sort_keys=True, indent=2)
+    argv = ["gen", "--n", str(n), "--m", str(m), "--family", family, *lam_flag]
+    assert run_main(argv) == (0, expected + "\n", "")
+    path = tmp_path / "seq.json"
+    assert run_main([*argv, "--output", str(path)]) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == expected + "\n"
 
 
 def test_gen_shift_requires_canonical():
@@ -615,6 +628,15 @@ WRITER_CASES = {
 }
 
 
+def materialized(value):
+    """`value` with every lazy array (a generator, a map) made a list, as json.dumps needs."""
+    if isinstance(value, dict):
+        return {key: materialized(item) for key, item in value.items()}
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return [materialized(item) for item in value]
+
+
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
 def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     doc = build_family(3, 12, "frobenius-euler", lam=Fraction(-3, 7)).to_json()
@@ -623,10 +645,15 @@ def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     corrupted.write_text(json.dumps(doc))
     argv = [str(corrupted) if arg == "CORRUPTED" else arg for arg in WRITER_CASES[name]]
     fast = run_main(argv)
-    monkeypatch.setattr(
-        cli, "dump_json", lambda payload: json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    calls = []
+
+    def json_dumps(payload, write):
+        calls.append(payload)
+        write(json.dumps(materialized(payload), sort_keys=True, indent=2) + "\n")
+
+    monkeypatch.setattr(cli, "write_json", json_dumps)
     assert run_main(argv) == fast
+    assert len(calls) == 1
     assert fast[0] == (1 if name == "verify-witness" else 0), fast[2]
     assert ('"witness"' in fast[1]) == (name == "verify-witness")
 
@@ -656,9 +683,11 @@ def test_float_with_pretty_exits_2(args):
     [("gen", "--n", "2", "--m", "2"), ("verify", "--n", "2", "--m", "2"), ("matrices", "--m", "2")],
     ids=["gen", "verify", "matrices"],
 )
-@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+@pytest.mark.parametrize("target", ["missing-dir", "dir", "empty"])
 def test_failed_output_write_exits_2(tmp_path, args, target):
-    path = str(tmp_path / "absent" / "x.json") if target == "missing-dir" else str(tmp_path)
+    # an empty path is a path that cannot be written, not a request for stdout
+    path = {"missing-dir": str(tmp_path / "absent" / "x.json"), "dir": str(tmp_path), "empty": ""}
+    path = path[target]
     status, out, err = run_main([*args, "--output", path])
     assert (status, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperappell.jsonwriter import dump_json
+from hyperappell.jsonwriter import write_json
 from hyperappell.rationals import (
     approximate,
     binomial,
@@ -85,18 +85,41 @@ def test_approximate_refuses_values_beyond_float_range():
             approximate(value, "--float")
 
 
-# What json encodes: scalars, lists, tuples (written as lists) and string-keyed objects.
+class Lazy(list):
+    """An array the writer gets as a one-shot generator and json.dumps as this list."""
+
+
+def as_generators(value):
+    """`value` with every Lazy list turned into a generator of its items."""
+    if isinstance(value, Lazy):
+        return (as_generators(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(as_generators, value))
+    if isinstance(value, dict):
+        return {key: as_generators(item) for key, item in value.items()}
+    return value
+
+
+def written(payload) -> str:
+    pieces = []
+    write_json(payload, pieces.append)
+    return "".join(pieces)
+
+
+# What json encodes: scalars, lists, tuples (written as lists) and string-keyed objects,
+# plus arrays that reach the writer as generators.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
+    | st.lists(inner).map(Lazy)
     | st.lists(st.text()).map(tuple)
     | st.dictionaries(st.text(), inner),
     max_leaves=40,
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(json_values)
 @example(
     {
@@ -104,9 +127,35 @@ json_values = st.recursive(
         "numbers": [0, -7, 10**400, -(10**400), -0.0, 1e300, -1e-300, 0.1, 1.5],
         "non-finite": [float("nan"), float("inf"), float("-inf")],
         "flags": [True, False, None],
-        "empty": [[], {}, (), ""],
+        "empty": [[], {}, (), "", Lazy()],
         "nested": [[[{"b": [1, "x"], "a": {}}]], {"z": [], "y": [[]]}],
+        "lazy": Lazy([Lazy(["a", "b"]), Lazy([1, {"c": Lazy()}]), ("d",)]),
+        "lazy-empty": Lazy(),
     }
 )
+@example(Lazy([Lazy([1, 2]), {"a": Lazy(["x"])}, "y"]))
+@example({})
 def test_dump_json_is_json_dumps(value):
-    assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert written(as_generators(value)) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_hands_over_each_top_level_item_before_drawing_the_next():
+    drawn, pieces = [], []
+
+    def rows():
+        for k in range(5):
+            drawn.append(k)
+            yield {"k": k, "values": [str(v) for v in range(k)]}
+
+    def write(piece):
+        pieces.append((piece, len(drawn)))
+
+    write_json({"m": 4, "rows": rows(), "tail": ["x", "y"]}, write)
+    item_pieces = [(piece, count) for piece, count in pieces if '"k": ' in piece]
+    # one piece per item, written after item k is drawn and before item k + 1 is
+    assert [count for _, count in item_pieces] == [1, 2, 3, 4, 5]
+    assert all(piece.count('"k": ') == 1 for piece, _ in item_pieces)
+    assert all(f'"k": {k},' in piece for k, (piece, _) in enumerate(item_pieces))
+    expected = {"m": 4, "rows": [{"k": k, "values": [str(v) for v in range(k)]} for k in range(5)],
+                "tail": ["x", "y"]}
+    assert "".join(p for p, _ in pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
