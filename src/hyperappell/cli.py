@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -381,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        # The reader left: what stdout still holds goes to devnull, so the last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except Exception as exc:
         # Anything else is a bug, not a failed verification (status 1).

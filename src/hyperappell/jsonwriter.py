@@ -1,12 +1,12 @@
 """The JSON writer of the command line.
 
 `write_json` writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a
-newline in pieces, one per item of each top-level array (a sequence member,
-a matrix row), so no command holds its whole payload tree or output text.
-Any iterable, such as a lazy generator, may stand where the JSON has an
-array.  A written piece stays written: callers run whatever can fail first.
-With an indent, json skips its C encoder, so this writer is also faster.
-The package does not import this module, so the library does not load json.
+newline in pieces, each item of a top-level array (a sequence member, a
+matrix row) in one piece, so no command holds its whole output text.  Any
+iterable, such as a generator, may stand for an array.  A written piece
+stays written: callers run whatever can fail first.  With an indent, json
+skips its C encoder, so this writer is also faster.  The package does not
+import this module, so the library does not load json.
 """
 
 from __future__ import annotations
@@ -22,27 +22,40 @@ def write_json(payload, write) -> None:
     type.  Keys must be strings.  Unlike json, the writer refuses a
     subclass of str, int or float (TypeError); no payload holds one.
     """
-    if not isinstance(payload, dict) or not payload:
-        write(_write_items(payload, "\n", "", write) + "\n")
-        return
-    head = "{"
-    for key in sorted(payload):
-        head += "\n  " + encode_basestring_ascii(key) + ": "
-        head = _write_items(payload[key], "\n  ", head, write) + ","
-    write(head[:-1] + "\n}\n")
+    _write(payload, "\n", write)
+    write("\n")
 
 
-def _write_items(value, indent: str, head: str, write) -> str:
-    """Write `head` and an array `value`, one item per piece; return the text still to write."""
-    if type(value) in _JSON_SCALARS or isinstance(value, dict):
-        return head + _json_text(value, indent)
+def _write(value, indent: str, write) -> None:
+    """Write `value`; `indent` is a newline and the spaces of its level."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return write(scalar(value))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, write)
+            sep = ","
+        return write("{}" if sep == "{" else indent + "}")
     if isinstance(value, (str, bytes)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    inner, sep = indent + "  ", "["
+    sep = "["
     for item in value:
-        write(head + sep + inner + _json_text(item, inner))
-        head, sep = "", ","
-    return head + "[]" if sep == "[" else indent + "]"
+        write(sep + inner + _json_text(item, inner))
+        sep = ","
+    write("[]" if sep == "[" else indent + "]")
+
+
+def _json_text(value, indent: str) -> str:
+    """`value` as one piece of text."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    pieces: list[str] = []
+    _write(value, indent, pieces.append)
+    return "".join(pieces)
 
 
 def _float_text(value: float) -> str:
@@ -62,24 +75,3 @@ _JSON_SCALARS = {
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
-
-
-def _json_text(value, indent: str) -> str:
-    """`value` as indented JSON; `indent` is a newline and the spaces of its level."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = []
-        for key in sorted(value):
-            item = value[key]
-            scalar = _JSON_SCALARS.get(type(item))
-            text = scalar(item) if scalar else _json_text(item, inner)
-            body.append(encode_basestring_ascii(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(body) + indent + "}"
-    pieces: list[str] = []
-    tail = _write_items(value, indent, "", pieces.append)
-    return "".join(pieces) + tail

@@ -89,19 +89,6 @@ def test_gen_output_file_matches_stdout(tmp_path):
     assert out.read_text() == proc_stdout.stdout
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("n, m", [(1, 0), (2, 5), (4, 9)])
-def test_streamed_gen_json_is_json_dumps_of_to_json(tmp_path, family, n, m):
-    lam = Fraction(-4, 7) if family == "frobenius-euler" else None
-    lam_flag = ["--lambda=-4/7"] if lam is not None else []
-    expected = json.dumps(build_family(n, m, family, lam=lam).to_json(), sort_keys=True, indent=2)
-    argv = ["gen", "--n", str(n), "--m", str(m), "--family", family, *lam_flag]
-    assert run_main(argv) == (0, expected + "\n", "")
-    path = tmp_path / "seq.json"
-    assert run_main([*argv, "--output", str(path)]) == (0, "", "")
-    assert path.read_text(encoding="utf-8") == expected + "\n"
-
-
 def test_gen_shift_requires_canonical():
     proc = run_cli("gen", "--n", "2", "--m", "3", "--shift", "1", "--family", "bernoulli")
     assert proc.returncode == 2
@@ -604,7 +591,7 @@ def run_main(argv):
     return status, out.getvalue(), err.getvalue()
 
 
-# Every kind of JSON payload the CLI writes, at the sizes the benchmark runs.
+# Every kind of JSON payload the CLI writes, at the sizes the benchmark runs, and gen per family.
 MATRIX_FLAGS = {
     "bernoulli": ["--family", "bernoulli"],
     "euler": ["--family", "euler"],
@@ -620,6 +607,11 @@ WRITER_CASES = {
     "eval": ["eval", "--n", "3", "--m", "10", "--family", "hermite", "--point", "1/2,-1,2/3,4",
              "--float"],
     "exp": ["exp", "--n", "3", "--point", "-1/3,1,2/5,-2", "--order", "60", "--float"],
+    **{
+        f"gen-{family}": ["gen", "--n", "3", "--m", "9",
+                          *MATRIX_FLAGS.get(family, ["--family", family])]
+        for family in FAMILIES
+    },
     **{
         f"matrices-{name}{suffix}": ["matrices", "--m", "56", *flags, *extra]
         for name, flags in MATRIX_FLAGS.items()
@@ -656,6 +648,23 @@ def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     assert len(calls) == 1
     assert fast[0] == (1 if name == "verify-witness" else 0), fast[2]
     assert ('"witness"' in fast[1]) == (name == "verify-witness")
+
+
+def test_reader_closing_stdout_early_exits_0_quietly():
+    # `hyperappell gen ... | head -c 100`: the reader leaves while gen is still streaming
+    gen = WRITER_CASES["gen"]
+    more_output = (
+        "import sys\nfrom hyperappell.cli import main\nstatus = main()\n"
+        "sys.stdout.write('x' * 65536)\nsys.stdout.flush()\nsys.exit(status)"
+    )
+    # after main returns, whatever stdout still holds or gets must go nowhere, not fail
+    for argv in ([sys.executable, "-m", PKG, *gen], [sys.executable, "-c", more_output, *gen]):
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, ""), argv[1]
 
 
 @pytest.mark.parametrize(
