@@ -19,6 +19,9 @@ Vectorized, the whole truncated sequence is exp(H x0) D_c xi(v) with H the
 creation matrix, D_c the diagonal of the c_j and xi(v) the column of vector
 powers; classical families (Bernoulli, Euler, Frobenius-Euler, Hermite)
 arise by applying their transfer matrices f(H) to the basic sequence.
+`transferred_terms` computes T phi term by term from the first column of
+T = f(H), so a caller that writes each term as it is drawn holds O(m^2)
+values, not the O(m^3) terms of the sequence.
 """
 
 from __future__ import annotations
@@ -33,7 +36,14 @@ from types import MappingProxyType
 from .clifford import Multivector, Paravector
 from .polynomials import CliffordPoly
 from .rationals import ONE, ZERO, binomial, read_rational
-from .trimatrix import TRANSFER_FAMILIES, TriMatrix, check_dimension, check_lambda, transfer_matrix
+from .trimatrix import (
+    TRANSFER_FAMILIES,
+    TriMatrix,
+    appell_rows,
+    check_dimension,
+    check_lambda,
+    transfer_column,
+)
 
 FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
@@ -258,31 +268,9 @@ class AppellSequence:
         """Set the vector part to zero; ascending x0 coefficients per degree."""
         return [restrict_poly(p) for p in self.polys]
 
-    def lazy_json(self) -> dict:
-        """`to_json` with the members as a generator, for a writer that streams them."""
-        return {
-            "n": self.n,
-            "family": self.family,
-            "lambda": None if self.lam is None else str(self.lam),
-            "s": self.shift,
-            "m": self.m,
-            "coeffs": [str(c) for c in self.coeffs.values],
-            "polys": (
-                {
-                    "k": k,
-                    "terms": [
-                        {"i": i, "j": j, "a": str(a)}
-                        for (i, j), a in poly.sorted_terms()
-                    ],
-                }
-                for k, poly in enumerate(self.polys)
-            ),
-        }
-
     def to_json(self) -> dict:
-        payload = self.lazy_json()
-        payload["polys"] = list(payload["polys"])
-        return payload
+        members = (poly.sorted_terms() for poly in self.polys)
+        return sequence_json(self.family, self.coeffs, self.lam, members)
 
     @classmethod
     def from_json(cls, payload: dict) -> "AppellSequence":
@@ -347,30 +335,89 @@ def _json_get(node, key: str, kind: type, default=None):
     return value
 
 
-def _transferred_members(transfer: TriMatrix, coeffs: CoeffSequence) -> list[AppellPoly]:
-    """Members (T phi)_k for k = 0..coeffs.m, phi's terms computed once.
+def sequence_json(
+    family: str, coeffs: CoeffSequence, lam: Fraction | None, members, array=list
+) -> dict:
+    """The one JSON layout of a sequence, built or streamed.
+
+    `members` yields, for k = 0..m, member k's ((i, j), a) in `sorted_terms`
+    order.  `array=iter` leaves the member and term arrays lazy, so a
+    streaming writer draws one term at a time.
+    """
+    return {
+        "n": coeffs.n,
+        "family": family,
+        "lambda": None if lam is None else str(lam),
+        "s": coeffs.shift,
+        "m": coeffs.m,
+        "coeffs": [str(c) for c in coeffs.values],
+        "polys": array(
+            {"k": k, "terms": array({"i": i, "j": j, "a": str(a)} for (i, j), a in terms)}
+            for k, terms in enumerate(members)
+        ),
+    }
+
+
+def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[Iterator]:
+    """Members (T phi)_k, T = f(H) of the column t_0..t_m, as generators of ((i, j), a).
 
     phi_l is homogeneous of degree l, so x0^i v^j occurs only in phi_(i+j):
-    row k of T scales whole members and no two products share a key.
-    Member k has degree k, since every transfer in use has t_0 != 0.
+    row k of T scales whole members and no two products share a key, and
+    walking l, then j, upwards is `sorted_terms` order.  Each
+    a = C(k,l) t_(k-l) * C(l,j) c_j; only phi's terms and one row of T are
+    held, O(m^2) in all.  Member k has degree k, since t_0 != 0.
     """
     values = coeffs.values
     phi = [
         [((l - j, j), binomial(l, j) * values[j]) for j in range(l + 1) if values[j]]
         for l in range(coeffs.m + 1)
     ]
+    for row in appell_rows(column):
+        yield ((key, t * a) for l, t in enumerate(row) if t for key, a in phi[l])
+
+
+def _members(terms) -> list[AppellPoly]:
+    """The members of `transferred_terms`, materialized."""
     polys = []
-    for k, row in enumerate(transfer.rows):
+    for k, member in enumerate(terms):
         poly = AppellPoly(k)
-        poly.terms = {key: t * a for l, t in enumerate(row) if t for key, a in phi[l]}
+        poly.terms = dict(member)
         polys.append(poly)
     return polys
 
 
+def _canonical_column(m: int) -> list[Fraction]:
+    """(1, 0, ..., 0): the identity is f(H) for f = 1."""
+    return [ONE] + [ZERO] * m
+
+
 def build_phi(coeffs: CoeffSequence) -> AppellSequence:
     """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..coeffs.m."""
-    polys = _transferred_members(TriMatrix.identity(coeffs.m), coeffs)
+    polys = _members(transferred_terms(_canonical_column(coeffs.m), coeffs))
     return AppellSequence(family="canonical", polys=polys, coeffs=coeffs)
+
+
+def family_terms(
+    n: int,
+    m: int,
+    family: str = "canonical",
+    c0: Fraction = ONE,
+    lam: Fraction | None = None,
+    shift: int = 0,
+):
+    """(family, coeffs, lam, members) of a named sequence; members lazy, as `transferred_terms`.
+
+    The header rules are `check_header`'s, the same a loaded file passes.
+    Every check runs here, before the first member is drawn.
+    """
+    check_header(family, lam, shift)
+    coeffs = coefficient_sequence(n, m, c0=c0, shift=shift)
+    if family == "canonical":
+        column = _canonical_column(m)
+    else:
+        column = transfer_column(family, m, lam)
+    lam = None if lam is None else Fraction(lam)
+    return family, coeffs, lam, transferred_terms(column, coeffs)
 
 
 def build_family(
@@ -383,15 +430,11 @@ def build_family(
 ) -> AppellSequence:
     """Construct a named sequence: the basic one, or its transfer T phi.
 
-    The header rules are `check_header`'s, the same a loaded file passes.
-    `TriMatrix.apply` on `build_phi`'s members is the reference for T phi.
+    `family_terms`, materialized.  `TriMatrix.apply` on `build_phi`'s
+    members is the reference for T phi.
     """
-    check_header(family, lam, shift)
-    coeffs = coefficient_sequence(n, m, c0=c0, shift=shift)
-    if family == "canonical":
-        return build_phi(coeffs)
-    polys = _transferred_members(transfer_matrix(family, m, lam), coeffs)
-    return AppellSequence(family, polys, coeffs, None if lam is None else Fraction(lam))
+    family, coeffs, lam, members = family_terms(n, m, family, c0, lam, shift)
+    return AppellSequence(family, _members(members), coeffs, lam)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

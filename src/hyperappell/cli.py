@@ -31,6 +31,8 @@ from .appell import (
     AppellSequence,
     build_family,
     exp_truncated,
+    family_terms,
+    sequence_json,
 )
 from .clifford import Multivector, Paravector
 from .operators import VerifyReport, certify
@@ -38,18 +40,35 @@ from .jsonwriter import write_json
 from .rationals import approximate, parse_rational, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
-    TriMatrix,
+    appell_rows,
     check_dimension,
     creation_matrix,
     derivation_matrix,
-    pascal_matrix,
-    transfer_matrix,
+    matrix_json,
+    pascal_column,
+    transfer_column,
 )
 
 RATIONAL_FLAGS = ("--lambda", "--c0", "--pascal", "--point")
 # Sequence flags that --input replaces; unset they are None and the library default applies.
 BUILD_FLAGS = {"family": "--family", "lam": "--lambda", "c0": "--c0", "shift": "--shift"}
 NEGATIVE_VALUE = re.compile(r"-\d")
+# The most terms (of a sequence) or entries (of a matrix) a command may build.
+SIZE_BUDGET = 10**6
+
+
+def _check_size(flag: str, value: int, estimate: int, unit: str) -> None:
+    """Refuse, before any work, a build whose estimated size exceeds SIZE_BUDGET."""
+    if value >= 0 and estimate > SIZE_BUDGET:
+        raise ValueError(
+            f"{flag} {value} would build about {estimate} {unit},"
+            f" more than the budget of {SIZE_BUDGET}"
+        )
+
+
+def _triangle(m: int) -> int:
+    """(m+1)(m+2)/2: entries of a triangular matrix, terms of phi_0..phi_m."""
+    return (m + 1) * (m + 2) // 2
 
 
 def _parse_point(text: str, n: int) -> Paravector:
@@ -105,14 +124,24 @@ def _mv_rows(mv: Multivector) -> list[list[str]]:
 # -- sequence construction from flags ------------------------------------
 
 
-def _sequence_from_flags(args) -> AppellSequence:
+def _build_flags(args) -> dict:
+    """The keyword arguments of `family_terms`, after the size check."""
     if args.n is None or args.m is None:
         raise ValueError("--n and --m are required when --input is not given")
     given = {key: getattr(args, key) for key in BUILD_FLAGS if getattr(args, key) is not None}
     for key in ("c0", "lam"):
         if key in given:
             given[key] = read_rational(given[key], BUILD_FLAGS[key])
-    return build_family(args.n, args.m, **given)
+    # a transfer family's member k holds up to C(k+2, 2) terms, phi_k only k+1
+    estimate = _triangle(args.m)
+    if given.get("family", "canonical") != "canonical":
+        estimate = estimate * (args.m + 3) // 3
+    _check_size("--m", args.m, estimate, "terms")
+    return {"n": args.n, "m": args.m, **given}
+
+
+def _sequence_from_flags(args) -> AppellSequence:
+    return build_family(**_build_flags(args))
 
 
 def _load_sequence(args) -> AppellSequence:
@@ -138,12 +167,15 @@ def _load_sequence(args) -> AppellSequence:
 
 
 def cmd_gen(args) -> int:
-    seq = _sequence_from_flags(args)
     if args.format == "json":
-        out = seq.lazy_json()
+        family, coeffs, lam, members = family_terms(**_build_flags(args))
+        out = sequence_json(family, coeffs, lam, members, array=iter)
         if args.float:
-            out["coeffs_approx"] = [approximate(c, "--float") for c in seq.coeffs.values]
-    elif args.format == "csv":
+            out["coeffs_approx"] = [approximate(c, "--float") for c in coeffs.values]
+        _emit(out, args.output)
+        return 0
+    seq = _sequence_from_flags(args)
+    if args.format == "csv":
         out = _csv_text(["k", "i", "j", "a"], seq.csv_rows(), args.float)
     else:
         lines = [f"family: {seq.family}  n: {seq.n}  m: {seq.m}  s: {seq.shift}"]
@@ -213,7 +245,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _matrix_from_flags(args) -> TriMatrix:
+def _matrix_rows(args):
+    """A function that yields the chosen matrix's rows afresh on each call.
+
+    Pascal and transfer matrices keep only their O(m) column and build
+    each row when it is drawn; H and the derivation matrix are sparse.
+    """
+    _check_size("--m", args.m, _triangle(args.m), "entries")
     chosen = [
         name
         for name, on in (
@@ -230,32 +268,37 @@ def _matrix_from_flags(args) -> TriMatrix:
     if args.tilde:
         if args.n is None:
             raise ValueError("--tilde needs --n")
-        return derivation_matrix(args.n, args.m, shift=args.shift)
+        rows = derivation_matrix(args.n, args.m, shift=args.shift).rows
+        return lambda: iter(rows)
     if args.shift:
         raise ValueError("--shift only applies to --tilde")
     if args.n is not None:
         raise ValueError("--n only applies to --tilde")
     if args.pascal is not None:
-        return pascal_matrix(read_rational(args.pascal, "--pascal"), args.m)
-    if args.family is not None:
+        column = pascal_column(read_rational(args.pascal, "--pascal"), args.m)
+    elif args.family is not None:
         lam = None if args.lam is None else read_rational(args.lam, "--lambda")
-        return transfer_matrix(args.family, args.m, lam)
-    return creation_matrix(args.m)
+        column = transfer_column(args.family, args.m, lam)
+    else:
+        rows = creation_matrix(args.m).rows
+        return lambda: iter(rows)
+    # appell_rows refuses an empty column (m < 0) when called, before the first byte
+    return lambda: appell_rows(column)
 
 
 def cmd_matrices(args) -> int:
-    matrix = _matrix_from_flags(args)
+    matrix_rows = _matrix_rows(args)
     if args.format == "json":
-        out = matrix.lazy_json()
+        out = matrix_json(args.m, matrix_rows(), array=iter)
         if args.float:
             out["rows_approx"] = [
-                [approximate(v, "--float") for v in row] for row in matrix.rows
+                [approximate(v, "--float") for v in row] for row in matrix_rows()
             ]
     elif args.format == "csv":
-        rows = [[i, j, str(v)] for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
+        rows = [[i, j, str(v)] for i, row in enumerate(matrix_rows()) for j, v in enumerate(row)]
         out = _csv_text(["i", "j", "value"], rows, args.float)
     else:
-        cells = [[str(v) for v in row] for row in matrix.rows]
+        cells = [[str(v) for v in row] for row in matrix_rows()]
         width = max(len(c) for row in cells for c in row)
         lines = [" ".join(c.rjust(width) for c in row) for row in cells]
         out = "\n".join(lines) + "\n"
@@ -265,6 +308,8 @@ def cmd_matrices(args) -> int:
 
 def cmd_exp(args) -> int:
     check_dimension(args.n)
+    # the sum of phi_0..phi_T: c_0..c_T and their closed-form cross-check are quadratic in T
+    _check_size("--order", args.order, _triangle(args.order), "terms")
     point = _parse_point(args.point, args.n)
     value = exp_truncated(point, args.order)
     if args.format == "json":

@@ -1,12 +1,15 @@
 """The JSON writer of the command line.
 
 `write_json` writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a
-newline in pieces, each item of a top-level array (a sequence member, a
-matrix row) in one piece, so no command holds its whole output text.  Any
-iterable, such as a generator, may stand for an array.  A written piece
-stays written: callers run whatever can fail first.  With an indent, json
-skips its C encoder, so this writer is also faster.  The package does not
-import this module, so the library does not load json.
+newline in pieces, so no command holds its whole output text.  Any
+iterable, such as a generator, may stand for an array.  Each item of a
+top-level array, or of an array given as an iterator at any depth, is
+written once it is complete, before the next item is drawn; lists and
+dicts inside an item stay in that item's piece.  So `gen` draws and
+writes one term at a time, and `matrices` one row.  A written piece
+stays written: callers run whatever can fail first.  With an indent,
+json skips its C encoder, so this writer is also faster.  The package
+does not import this module, so the library does not load json.
 """
 
 from __future__ import annotations
@@ -22,40 +25,43 @@ def write_json(payload, write) -> None:
     type.  Keys must be strings.  Unlike json, the writer refuses a
     subclass of str, int or float (TypeError); no payload holds one.
     """
-    _write(payload, "\n", write)
-    write("\n")
+    pending: list[str] = []
+    _write(payload, "\n", pending, write, False)
+    pending.append("\n")
+    write("".join(pending))
 
 
-def _write(value, indent: str, write) -> None:
-    """Write `value`; `indent` is a newline and the spaces of its level."""
+def _write(value, indent: str, pending: list[str], write, whole: bool) -> None:
+    """Append the text of `value` to `pending`; `indent` is a newline and the spaces of its level.
+
+    After each item of a streamed array, `pending` goes to `write` as one
+    piece.  An array given as an iterator is always streamed; a list or
+    tuple only outside an item (`whole`), so such an item is one piece
+    unless it holds an iterator.
+    """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
-        return write(scalar(value))
+        return pending.append(scalar(value))
     inner = indent + "  "
     if isinstance(value, dict):
         sep = "{"
         for key in sorted(value):
-            write(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, write)
+            pending.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, pending, write, whole)
             sep = ","
-        return write("{}" if sep == "{" else indent + "}")
+        return pending.append("{}" if sep == "{" else indent + "}")
     if isinstance(value, (str, bytes)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    stream = not (whole and isinstance(value, (list, tuple)))
     sep = "["
     for item in value:
-        write(sep + inner + _json_text(item, inner))
+        pending.append(sep + inner)
+        _write(item, inner, pending, write, True)
+        if stream:
+            write("".join(pending))
+            pending.clear()
         sep = ","
-    write("[]" if sep == "[" else indent + "]")
-
-
-def _json_text(value, indent: str) -> str:
-    """`value` as one piece of text."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    pieces: list[str] = []
-    _write(value, indent, pieces.append)
-    return "".join(pieces)
+    pending.append("[]" if sep == "[" else indent + "]")
 
 
 def _float_text(value: float) -> str:

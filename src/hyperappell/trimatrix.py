@@ -9,9 +9,12 @@ Frobenius-Euler and monic Hermite families.
 
 H^k has the single nonzero diagonal i!/j! at i - j = k, so f(H) for a power
 series f is the Appell matrix T[i][j] = C(i, j) t_(i-j), where t_k = k! times
-the coefficient of z^k in f: the whole matrix is fixed by its first column
-(see `appell_matrix`).  Each Pascal and transfer matrix is f(H) for one
-series, built from that column in O(m^2):
+the coefficient of z^k in f: the whole matrix is fixed by its first column.
+`transfer_column` computes that column in O(m^2) for each family, the one
+family dispatch, and `appell_rows` yields the rows from it one at a time,
+so a caller that consumes a row before drawing the next never holds the
+O(m^2) entries at once.  Each Pascal and transfer matrix is f(H) for one
+series; `appell_matrix` materializes the rows of its column:
 
     Pascal P(x0)        exp(x0 z)
     Bernoulli           z / (e^z - 1)
@@ -29,7 +32,7 @@ rounds.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, lcm
 
@@ -196,21 +199,17 @@ class TriMatrix:
         body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"TriMatrix[{body}]"
 
-    def lazy_json(self) -> dict:
-        """`to_json` with the rows as a generator, for a writer that streams them."""
-        return {
-            "m": self.order,
-            "rows": ([str(v) for v in row] for row in self.rows),
-        }
-
     def to_json(self) -> dict:
-        payload = self.lazy_json()
-        payload["rows"] = list(payload["rows"])
-        return payload
+        return matrix_json(self.order, self.rows)
 
     @classmethod
     def from_json(cls, payload: dict) -> "TriMatrix":
         return cls([[parse_rational(v) for v in row] for row in payload["rows"]])
+
+
+def matrix_json(m: int, rows, array=list) -> dict:
+    """The one JSON layout of a matrix of order m; `array=iter` leaves the rows lazy for a writer."""
+    return {"m": m, "rows": array([str(v) for v in row] for row in rows)}
 
 
 def creation_matrix(m: int) -> TriMatrix:
@@ -284,21 +283,24 @@ def nilpotent_exp(matrix: TriMatrix, t: Fraction) -> TriMatrix:
     return result
 
 
+def appell_rows(column: Sequence[Fraction]) -> Iterator[list[Fraction]]:
+    """The rows [C(i, j) t_(i-j) for j = 0..i] of the Appell matrix of t_0..t_m, one at a time.
+
+    An empty column is refused at the call, before the first row is drawn.
+    """
+    if not column:
+        raise ValueError("order must be nonnegative")
+    return ([comb(i, j) * column[i - j] for j in range(i + 1)] for i in range(len(column)))
+
+
 def appell_matrix(column: Sequence[Fraction]) -> TriMatrix:
     """The Appell matrix T[i][j] = C(i, j) t_(i-j) of the column t_0..t_m.
 
     This is f(H) for the series f whose exponential generating coefficients
     (k! [z^k] f) are the t_k; its first column is the t_k themselves.
     """
-    if not column:
-        raise ValueError("order must be nonnegative")
     column = [v if type(v) is Fraction else Fraction(v) for v in column]
-    return TriMatrix._of_rows(
-        [
-            [comb(i, j) * column[i - j] for j in range(i + 1)]
-            for i in range(len(column))
-        ]
-    )
+    return TriMatrix._of_rows(list(appell_rows(column)))
 
 
 def egf_reciprocal(g: Sequence[Fraction]) -> list[Fraction]:
@@ -334,14 +336,19 @@ def egf_reciprocal(g: Sequence[Fraction]) -> list[Fraction]:
     return f
 
 
+def pascal_column(x0: Fraction, m: int) -> list[Fraction]:
+    """Column x0^0..x0^m of the Pascal matrix P(x0) = exp(x0 H)."""
+    x0 = Fraction(x0)
+    return [x0**k for k in range(m + 1)]
+
+
 def pascal_matrix(x0: Fraction, m: int) -> TriMatrix:
     """Generalized Pascal matrix with entries C(i, j) * x0^(i-j).
 
     The series is exp(x0 z): P(x0) = exp(x0 H), and the semigroup law
     P(a) P(b) = P(a+b) holds.
     """
-    x0 = Fraction(x0)
-    return appell_matrix([x0**k for k in range(m + 1)])
+    return appell_matrix(pascal_column(x0, m))
 
 
 def tri_inverse(matrix: TriMatrix) -> TriMatrix:
@@ -366,26 +373,23 @@ def tri_inverse(matrix: TriMatrix) -> TriMatrix:
 def bernoulli_transfer(m: int) -> TriMatrix:
     """Transfer matrix of the generalized Bernoulli sequence.
 
-    f(H) for the series z / (e^z - 1), the reciprocal of (e^z - 1)/z whose
-    exponential generating coefficients are 1/(k+1); equivalently the
-    inverse of sum_{k=0..m} H^k / (k+1)!.  Its first column carries the
-    Bernoulli numbers.
+    f(H) for the series z / (e^z - 1); equivalently the inverse of
+    sum_{k=0..m} H^k / (k+1)!.  Its first column carries the Bernoulli
+    numbers.
     """
-    return appell_matrix(egf_reciprocal([Fraction(1, k + 1) for k in range(m + 1)]))
+    return transfer_matrix("bernoulli", m)
 
 
 def frobenius_euler_transfer(lam: Fraction, m: int) -> TriMatrix:
     """Transfer matrix (1 - lam) (P - lam I)^{-1} with P the Pascal matrix at 1.
 
-    f(H) for the series (1 - lam) / (e^z - lam); e^z - lam has exponential
-    generating coefficients (1 - lam, 1, 1, ...).  Every eigenvalue of P
+    f(H) for the series (1 - lam) / (e^z - lam).  Every eigenvalue of P
     equals 1, so any rational lam != 1 is admissible.
     """
     lam = Fraction(lam)
     if lam == 1:
         raise ZeroDivisionError("lambda = 1 makes the transfer matrix singular")
-    series = [ONE - lam if k == 0 else ONE for k in range(m + 1)]
-    return appell_matrix([(ONE - lam) * f for f in egf_reciprocal(series)])
+    return transfer_matrix("frobenius-euler", m, lam)
 
 
 def euler_transfer(m: int) -> TriMatrix:
@@ -393,23 +397,16 @@ def euler_transfer(m: int) -> TriMatrix:
 
     f(H) for the series 2 / (e^z + 1), the Frobenius-Euler one at lam = -1.
     """
-    return frobenius_euler_transfer(Fraction(-1), m)
+    return transfer_matrix("euler", m)
 
 
 def hermite_transfer(m: int) -> TriMatrix:
     """Transfer matrix of the monic Hermite sequence.
 
     f(H) for the series exp(-z^2/4), i.e. the terminating sum
-    sum_k (-H^2)^k / (2^(2k) k!) with H the creation matrix.  The column
-    has t_(2k) = (-1)^k (2k)! / (4^k k!) = -(2k-1)/2 t_(2k-2), odd entries 0.
+    sum_k (-H^2)^k / (2^(2k) k!) with H the creation matrix.
     """
-    column = []
-    for k in range(m + 1):
-        if k % 2:
-            column.append(ZERO)
-        else:
-            column.append(column[-2] * Fraction(1 - k, 2) if k else ONE)
-    return appell_matrix(column)
+    return transfer_matrix("hermite", m)
 
 
 def check_lambda(family: str, lam: Fraction | None) -> None:
@@ -423,15 +420,33 @@ def check_lambda(family: str, lam: Fraction | None) -> None:
         raise ValueError(f"lambda only applies to the frobenius-euler family, not {family!r}")
 
 
-def transfer_matrix(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
-    """The builder above for a family in TRANSFER_FAMILIES, `lam` checked by `check_lambda`."""
+def transfer_column(family: str, m: int, lam: Fraction | None = None) -> list[Fraction]:
+    """Column t_0..t_m of the transfer matrix f(H) of a family in TRANSFER_FAMILIES.
+
+    `lam` is checked by `check_lambda`.  O(m^2) rational operations; the
+    matrix itself is `appell_matrix` of this column.
+    """
     check_lambda(family, lam)
-    if family == "frobenius-euler":
-        return frobenius_euler_transfer(lam, m)
     if family == "bernoulli":
-        return bernoulli_transfer(m)
-    if family == "euler":
-        return euler_transfer(m)
+        # z / (e^z - 1): the reciprocal of (e^z - 1)/z, whose coefficients are 1/(k+1)
+        return egf_reciprocal([Fraction(1, k + 1) for k in range(m + 1)])
+    if family in ("euler", "frobenius-euler"):
+        # (1 - lam) / (e^z - lam), with lam = -1 for Euler; e^z - lam is (1 - lam, 1, 1, ...)
+        lam = Fraction(-1 if lam is None else lam)
+        series = [ONE - lam if k == 0 else ONE for k in range(m + 1)]
+        return [(ONE - lam) * f for f in egf_reciprocal(series)]
     if family == "hermite":
-        return hermite_transfer(m)
+        # exp(-z^2/4): t_(2k) = (-1)^k (2k)! / (4^k k!) = -(2k-1)/2 t_(2k-2), odd entries 0
+        column = []
+        for k in range(m + 1):
+            if k % 2:
+                column.append(ZERO)
+            else:
+                column.append(column[-2] * Fraction(1 - k, 2) if k else ONE)
+        return column
     raise ValueError(f"unknown transfer family {family!r}; expected one of {TRANSFER_FAMILIES}")
+
+
+def transfer_matrix(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
+    """The transfer matrix of a family in TRANSFER_FAMILIES: `appell_matrix` of its column."""
+    return appell_matrix(transfer_column(family, m, lam))

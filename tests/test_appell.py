@@ -18,6 +18,7 @@ from hyperappell.appell import (
     eval_poly,
     exp_truncated,
     expand_multivariate,
+    family_terms,
     restrict_poly,
     vector_power_expansion,
 )
@@ -32,6 +33,7 @@ from hyperappell.trimatrix import (
     tri_inverse,
 )
 
+from test_trimatrix import COLUMN_CASES, STREAM_ORDERS, reference_transfer
 from oracles import bernoulli_polys, euler_polys_inverse, euler_polys_recurrence, hermite_polys_recurrence, hermite_polys_series
 
 
@@ -360,6 +362,41 @@ def test_build_family_is_transfer_applied_to_phi(lam):
                 reference = phi if family == "canonical" else transfer_matrix(family, m, seq.lam).apply(phi)
                 assert layout(seq.polys) == layout(reference)
                 assert seq.coeffs == cs
+
+
+def phi_oracle(coeffs):
+    """phi_k = sum_j C(k,j) c_j x0^(k-j) v^j, term by term through AppellPoly."""
+    return [
+        AppellPoly(k, {(k - j, j): math.comb(k, j) * coeffs.values[j] for j in range(k + 1)})
+        for k in range(coeffs.m + 1)
+    ]
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize(
+    "family, lam, shift",
+    [("canonical", None, 0), ("canonical", None, 2)]
+    + [(family, lam, 0) for family, lam in COLUMN_CASES if family != "pascal"],
+)
+def test_streamed_members_are_the_reference_transfer_of_phi(family, lam, shift, m):
+    # The generator against T phi with T from tri_inverse / nilpotent_exp: same
+    # terms, in sorted_terms order; and build_family is that generator, materialized.
+    c0 = Fraction(-3, 5)
+    for n in range(1, 5) if m < 32 else (3,):
+        coeffs = coefficient_sequence(n, m, c0=c0, shift=shift)
+        phi = phi_oracle(coeffs)
+        assert build_phi(coeffs).polys == phi
+        if family == "canonical":
+            reference = phi
+        else:
+            reference = reference_transfer(family, m, lam).apply(build_phi(coeffs).polys)
+            assert reference == reference_transfer(family, m, lam).apply(phi)
+        header = family_terms(n, m, family, c0=c0, lam=lam, shift=shift)
+        assert header[:3] == (family, coeffs, lam)
+        assert [list(member) for member in header[3]] == [p.sorted_terms() for p in reference]
+        seq = build_family(n, m, family, c0=c0, lam=lam, shift=shift)
+        assert seq.polys == reference
+        assert [p.degree for p in seq.polys] == list(range(m + 1))
 
 
 def test_build_phi_omits_zero_coefficients():

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperappell import FAMILIES, build_family, build_phi, cli, coefficient_sequence
+from hyperappell import (
+    FAMILIES,
+    build_family,
+    build_phi,
+    cli,
+    coefficient_sequence,
+    pascal_matrix,
+    transfer_matrix,
+)
+
+from test_trimatrix import COLUMN_CASES, STREAM_ORDERS
 
 PKG = "hyperappell"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -513,10 +525,13 @@ def test_matrices_usage_errors():
         ("matrices", "--m", "2", "--lambda", "2"),
         ("matrices", "--m", "2", "--pascal", "0.5"),
         ("matrices", "--m", "2", "--family", "canonical"),
+        ("matrices", "--m", "-1"),
+        ("matrices", "--m", "-1", "--family", "bernoulli"),
+        ("matrices", "--m", "-1", "--pascal", "2"),
     ]
     for case in cases:
         proc = run_cli(*case)
-        assert proc.returncode == 2, (case, proc.stderr)
+        assert (proc.returncode, proc.stdout) == (2, ""), (case, proc.stderr)
 
 
 # -- exp -----------------------------------------------------------------------
@@ -612,6 +627,9 @@ WRITER_CASES = {
                           *MATRIX_FLAGS.get(family, ["--family", family])]
         for family in FAMILIES
     },
+    "gen-c0-shift": ["gen", "--n", "2", "--m", "7", "--c0", "-2/3", "--shift", "2"],
+    "gen-m0": ["gen", "--n", "1", "--m", "0", "--family", "hermite", "--float"],
+    "matrices-m0": ["matrices", "--m", "0", "--family", "euler", "--float"],
     **{
         f"matrices-{name}{suffix}": ["matrices", "--m", "56", *flags, *extra]
         for name, flags in MATRIX_FLAGS.items()
@@ -648,6 +666,106 @@ def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     assert len(calls) == 1
     assert fast[0] == (1 if name == "verify-witness" else 0), fast[2]
     assert ('"witness"' in fast[1]) == (name == "verify-witness")
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def lambda_flags(lam):
+    return [] if lam is None else [f"--lambda={lam}"]
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize(
+    "family, lam, c0, shift",
+    [("canonical", None, None, 0), ("canonical", None, "-2/3", 2)]
+    + [(family, lam, "5/4", 0) for family, lam in COLUMN_CASES if family != "pascal"],
+)
+def test_streamed_gen_is_json_dumps_of_the_built_sequence(family, lam, c0, shift, m):
+    n = 1 + (m + len(family)) % 4
+    argv = ["gen", "--n", str(n), "--m", str(m), "--family", family, *lambda_flags(lam)]
+    argv += (["--c0", c0] if c0 else []) + (["--shift", str(shift)] if shift else [])
+    seq = build_family(n, m, family, c0=Fraction(c0 or 1), lam=lam, shift=shift)
+    assert run_main(argv) == (0, json_text(seq.to_json()), "")
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize("family, lam", COLUMN_CASES)
+def test_streamed_matrix_is_json_dumps_of_the_built_matrix(family, lam, m):
+    if family == "pascal":
+        argv, matrix = [f"--pascal={lam}"], pascal_matrix(lam, m)
+    else:
+        argv, matrix = ["--family", family, *lambda_flags(lam)], transfer_matrix(family, m, lam)
+    assert run_main(["matrices", "--m", str(m), *argv]) == (0, json_text(matrix.to_json()), "")
+
+
+def gen_peak_bytes(m: int) -> int:
+    """tracemalloc peak of one in-process gen at order m, its output sent to devnull."""
+    argv = ["gen", "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_gen_memory_grows_as_m_squared():
+    # gen holds phi's O(m^2) terms and one row of T, never the O(m^3) terms of T phi:
+    # doubling m should about quadruple the peak, where holding the sequence gives about 8
+    gen_peak_bytes(2)  # one-time allocations of a first run
+    small, large = gen_peak_bytes(24), gen_peak_bytes(48)
+    assert large / small < 4, (small, large)
+
+
+@pytest.mark.parametrize(
+    "args, estimate, unit",
+    [
+        (["gen", "--n", "2", "--m", "1000000"], 500001500001, "terms"),
+        (["gen", "--n", "2", "--m", "1000000", "--family", "bernoulli"],
+         166667666668500001, "terms"),
+        (["verify", "--n", "2", "--m", "1000000", "--family", "hermite"],
+         166667666668500001, "terms"),
+        (["eval", "--n", "1", "--m", "1000000", "--point", "1,2"], 500001500001, "terms"),
+        (["matrices", "--m", "1000000"], 500001500001, "entries"),
+        (["matrices", "--m", "1000000", "--family", "frobenius-euler", "--lambda=-4/7"],
+         500001500001, "entries"),
+        (["exp", "--n", "2", "--point", "1,2,3", "--order", "1000000"], 500001500001, "terms"),
+    ],
+    ids=["gen", "gen-transfer", "verify", "eval", "matrices", "matrices-family", "exp"],
+)
+def test_oversized_build_exits_2_before_any_work(args, estimate, unit):
+    start = time.perf_counter()
+    proc = run_cli(*args, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    flag = "--order" if args[0] == "exp" else "--m"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {flag} 1000000 would build about {estimate} {unit},"
+        f" more than the budget of {cli.SIZE_BUDGET}\n"
+    )
+
+
+def test_size_budget_counts_terms_and_entries(monkeypatch):
+    # (m+1)(m+2)(m+3)/6 for a transfer family, (m+1)(m+2)/2 for canonical and matrices
+    monkeypatch.setattr(cli, "SIZE_BUDGET", 20)
+    assert run_main(["gen", "--n", "2", "--m", "3", "--family", "euler"])[0] == 0  # 20
+    assert run_main(["gen", "--n", "2", "--m", "4", "--family", "euler"])[0] == 2  # 35
+    assert run_main(["gen", "--n", "2", "--m", "4"])[0] == 0  # 15
+    assert run_main(["gen", "--n", "2", "--m", "5"])[0] == 2  # 21
+    assert run_main(["matrices", "--m", "5"])[0] == 2  # 21
+    assert run_main(["exp", "--n", "1", "--point", "0,1", "--order", "4"])[0] == 0
+    assert run_main(["exp", "--n", "1", "--point", "0,1", "--order", "5"])[0] == 2
+
+
+def test_size_budget_admits_the_large_commands():
+    # ten times the largest commands in use: gen or verify of a transfer family at m = 80,
+    # matrices at m = 250, verify of the canonical family at m = 120
+    assert 81 * 82 * 83 // 6 * 10 < cli.SIZE_BUDGET
+    assert 251 * 252 // 2 * 10 < cli.SIZE_BUDGET
+    assert 121 * 122 // 2 * 10 < cli.SIZE_BUDGET
 
 
 def test_reader_closing_stdout_early_exits_0_quietly():

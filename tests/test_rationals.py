@@ -159,3 +159,35 @@ def test_write_json_hands_over_each_top_level_item_before_drawing_the_next():
     expected = {"m": 4, "rows": [{"k": k, "values": [str(v) for v in range(k)]} for k in range(5)],
                 "tail": ["x", "y"]}
     assert "".join(p for p, _ in pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_draws_a_nested_generator_one_term_per_piece():
+    # gen's layout: members from a generator, each member's terms from another
+    drawn, pieces = [], []
+
+    def terms(k):
+        for j in range(k):
+            drawn.append((k, j))
+            yield {"i": k - j, "j": j, "a": f"{k}/{j + 1}"}
+
+    def members():
+        for k in range(4):
+            yield {"k": k, "terms": terms(k)}
+
+    def write(piece):
+        pieces.append((piece, len(drawn)))
+
+    write_json({"m": 3, "polys": members(), "coeffs": ["1", "1/2"]}, write)
+    term_pieces = [(piece, count) for piece, count in pieces if '"j": ' in piece]
+    # one piece per term, written after that term is drawn and before the next one is
+    assert [count for _, count in term_pieces] == list(range(1, 7))
+    assert [piece.count('"j": ') for piece, _ in term_pieces] == [1] * 6
+    expected = {
+        "m": 3,
+        "polys": [
+            {"k": k, "terms": [{"i": k - j, "j": j, "a": f"{k}/{j + 1}"} for j in range(k)]}
+            for k in range(4)
+        ],
+        "coeffs": ["1", "1/2"],
+    }
+    assert "".join(p for p, _ in pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hyperappell.trimatrix import (
     TRANSFER_FAMILIES,
     TriMatrix,
     appell_matrix,
+    appell_rows,
     bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
@@ -17,7 +19,9 @@ from hyperappell.trimatrix import (
     frobenius_euler_transfer,
     hermite_transfer,
     nilpotent_exp,
+    pascal_column,
     pascal_matrix,
+    transfer_column,
     transfer_matrix,
     tri_inverse,
 )
@@ -251,6 +255,52 @@ def test_euler_transfer_small():
 def test_frobenius_euler_rejects_lambda_one():
     with pytest.raises(ZeroDivisionError):
         frobenius_euler_transfer(Fraction(1), 3)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_transfer(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
+    """f(H) by the defining matrix series and inverses; for "pascal", `lam` is x0."""
+    h = creation_matrix(m)
+    identity = TriMatrix.identity(m)
+    if family == "bernoulli":
+        # the inverse of sum_k H^k / (k+1)!
+        series, term, fact = TriMatrix.zeros(m), identity, 1
+        for k in range(m + 1):
+            fact *= k + 1
+            series, term = series + term.scale(Fraction(1, fact)), term @ h
+        return tri_inverse(series)
+    if family in ("euler", "frobenius-euler"):
+        lam = Fraction(-1) if family == "euler" else lam
+        return tri_inverse(nilpotent_exp(h, Fraction(1)) - identity.scale(lam)).scale(1 - lam)
+    if family == "hermite":
+        return nilpotent_exp((h @ h).scale(Fraction(-1, 4)), Fraction(1))
+    assert family == "pascal"
+    return nilpotent_exp(h, lam)
+
+
+# Every transfer family, frobenius-euler at two lambdas, and a Pascal matrix.
+COLUMN_CASES = [
+    ("bernoulli", None),
+    ("euler", None),
+    ("hermite", None),
+    ("frobenius-euler", Fraction(-4, 7)),
+    ("frobenius-euler", Fraction(3, 2)),
+    ("pascal", Fraction(-3, 7)),
+]
+STREAM_ORDERS = [0, 1, 2, 7, 32]
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize("family, lam", COLUMN_CASES)
+def test_transfer_column_is_column_0_of_the_reference(family, lam, m):
+    reference = reference_transfer(family, m, lam)
+    if family == "pascal":
+        column = pascal_column(lam, m)
+    else:
+        column = transfer_column(family, m, lam)
+    assert column == [reference[i, 0] for i in range(m + 1)]
+    assert all(type(v) is Fraction for v in column)
+    assert list(appell_rows(column)) == reference.rows
 
 
 def test_transfer_matrix_is_the_named_builder():
