@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -81,26 +80,32 @@ def _parse_point(text: str, n: int) -> Paravector:
     return Paravector(coords[0], tuple(coords[1:]))
 
 
-def _csv_text(header: list[str], rows, with_float: bool) -> str:
-    """CSV whose last column is exact; --float appends it as an "approx" column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header + ["approx"] if with_float else header)
-    for row in rows:
-        if with_float:
-            row = [*row, approximate(parse_rational(row[-1]), "--float")]
-        writer.writerow(row)
-    return buf.getvalue()
+def _csv(header: list[str], rows, with_float: bool):
+    """CSV lines of the rows `rows()` yields, as they are drawn; the last column is exact.
+
+    --float appends it as "approx", all computed first: a value beyond double range exits 2.
+    """
+    drawn = rows()
+    if with_float:
+        approx = [approximate(parse_rational(row[-1]), "--float") for row in drawn]
+        header, drawn = header + ["approx"], ([*row, a] for row, a in zip(rows(), approx))
+    # writerow returns what its file's write returns: here the formatted line itself
+    writer = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
+    return (writer.writerow(row) for part in ([header], drawn) for row in part)
 
 
 def _emit(out, output: str | None) -> None:
-    """Write text, or a JSON payload piece by piece, to stdout or to the file `output`."""
-    write_out = write_json if isinstance(out, dict) else lambda text, write: write(text)
+    """Write a JSON payload piece by piece, or text whole or line by line, to stdout or `output`."""
+    def write_out(fh):
+        if isinstance(out, dict):
+            return write_json(out, fh.write)
+        fh.writelines((out,) if isinstance(out, str) else out)
+
     if output is None:
-        return write_out(out, sys.stdout.write)
+        return write_out(sys.stdout)
     try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            write_out(out, fh.write)
+            write_out(fh)
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc}") from None
 
@@ -172,12 +177,13 @@ def cmd_gen(args) -> int:
         out = sequence_json(family, coeffs, lam, members, array=iter)
         if args.float:
             out["coeffs_approx"] = [approximate(c, "--float") for c in coeffs.values]
-        _emit(out, args.output)
-        return 0
-    seq = _sequence_from_flags(args)
-    if args.format == "csv":
-        out = _csv_text(["k", "i", "j", "a"], seq.csv_rows(), args.float)
+    elif args.format == "csv":
+        flags = _build_flags(args)
+        rows = lambda: ((k, i, j, str(a)) for k, member in enumerate(family_terms(**flags)[3])
+                        for (i, j), a in member)
+        out = _csv(["k", "i", "j", "a"], rows, args.float)
     else:
+        seq = _sequence_from_flags(args)
         lines = [f"family: {seq.family}  n: {seq.n}  m: {seq.m}  s: {seq.shift}"]
         if seq.lam is not None:
             lines.append(f"lambda: {seq.lam}")
@@ -190,9 +196,7 @@ def cmd_gen(args) -> int:
 
 
 def _pretty_flag(value: bool | None) -> str:
-    if value is None:
-        return "-"
-    return "pass" if value else "FAIL"
+    return "-" if value is None else "pass" if value else "FAIL"
 
 
 def _pretty_report(report: VerifyReport, m: int) -> str:
@@ -237,7 +241,7 @@ def cmd_eval(args) -> int:
         }
     elif args.format == "csv":
         rows = [[k, *row] for k, mv in enumerate(values) for row in _mv_rows(mv)]
-        out = _csv_text(["k", "blade", "coeff"], rows, args.float)
+        out = _csv(["k", "blade", "coeff"], lambda: rows, args.float)
     else:
         lines = [f"phi_{k}(x) = {mv}" for k, mv in enumerate(values)]
         out = "\n".join(lines) + "\n"
@@ -252,15 +256,9 @@ def _matrix_rows(args):
     each row when it is drawn; H and the derivation matrix are sparse.
     """
     _check_size("--m", args.m, _triangle(args.m), "entries")
-    chosen = [
-        name
-        for name, on in (
-            ("--tilde", args.tilde),
-            ("--pascal", args.pascal is not None),
-            ("--family", args.family is not None),
-        )
-        if on
-    ]
+    given = (("--tilde", args.tilde), ("--pascal", args.pascal is not None),
+             ("--family", args.family is not None))
+    chosen = [name for name, on in given if on]
     if len(chosen) > 1:
         raise ValueError(f"{' and '.join(chosen)} are mutually exclusive")
     if args.lam is not None and args.family is None:
@@ -295,8 +293,9 @@ def cmd_matrices(args) -> int:
                 [approximate(v, "--float") for v in row] for row in matrix_rows()
             ]
     elif args.format == "csv":
-        rows = [[i, j, str(v)] for i, row in enumerate(matrix_rows()) for j, v in enumerate(row)]
-        out = _csv_text(["i", "j", "value"], rows, args.float)
+        rows = lambda: ((i, j, str(v)) for i, row in enumerate(matrix_rows())
+                        for j, v in enumerate(row))
+        out = _csv(["i", "j", "value"], rows, args.float)
     else:
         cells = [[str(v) for v in row] for row in matrix_rows()]
         width = max(len(c) for row in cells for c in row)
@@ -320,7 +319,7 @@ def cmd_exp(args) -> int:
             "value": _mv_json(value, args.float),
         }
     elif args.format == "csv":
-        out = _csv_text(["blade", "coeff"], _mv_rows(value), args.float)
+        out = _csv(["blade", "coeff"], lambda: _mv_rows(value), args.float)
     else:
         out = f"Exp_{args.n}(x) truncated at {args.order}: {value}\n"
     _emit(out, args.output)

@@ -7,12 +7,19 @@ The generalized Cauchy-Riemann operator and its conjugate are
 with Dv = sum_k e_k d/dx_k the vector derivative.  A polynomial is
 monogenic when D annihilates it, and a monogenic sequence is Appell when
 D* acts as degree lowering: D* p_k = k p_{k-1}.  certify decides both
-exactly on the binary form sum a_ij x0^i v^j, where Dv v^j = Ht[j, j-1]
-v^(j-1); distinct x0^i v^j share no expanded monomial, so a zero binary
-residual is an exact zero.  check_monogenic and check_appell, the
-reference route, expand members into multivariate polynomials instead.
-Both report a failing degree with the same witness monomial, so negative
-controls produce usable evidence instead of a bare boolean.
+exactly on the binary form sum a_ij x0^i v^j, first by structure: in
+degree l the kernel of D is spanned by phi_l, so p_k is monogenic exactly
+when each homogeneous part is alpha_(k,l) phi_l, and as D* phi_l =
+l phi_(l-1), the ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That
+costs one integer comparison per term.  Only a degree where p_k or p_(k-1)
+is no such sum, or the alphas disagree, forms the two binary residuals,
+with Dv v^j = Ht[j, j-1] v^(j-1), at a few rational operations per term:
+distinct x0^i v^j share no expanded monomial, so a zero binary residual
+is an exact zero, and a nonzero one gives the witness.  check_monogenic and
+check_appell, the reference route, expand members into multivariate
+polynomials instead.  Both report a failing degree with the same witness
+monomial, so negative controls produce usable evidence instead of a bare
+boolean.
 
 Coefficient-level identities live alongside: the vector derivative acts on
 the column of vector powers through a one-subdiagonal matrix, and the
@@ -27,10 +34,17 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .appell import AppellPoly, AppellSequence, CoeffSequence, expand_sequence, vector_power_expansion
+from .appell import (
+    AppellPoly,
+    AppellSequence,
+    CoeffSequence,
+    coefficient_sequence,
+    expand_sequence,
+    vector_power_expansion,
+)
 from .clifford import Multivector
 from .polynomials import CliffordPoly
-from .rationals import ZERO
+from .rationals import ZERO, binomial
 from .trimatrix import TriMatrix, creation_matrix, derivation_entry, derivation_matrix
 
 HALF = Fraction(1, 2)
@@ -225,8 +239,57 @@ def _binary_witness(residual: AppellPoly, n: int) -> dict:
     return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": blade.to_json()}
 
 
+def _phi_table(n: int, m: int) -> list[list[tuple[int, int]]]:
+    """C(l,j) c_j for j = 0..l, l = 0..m, as (numerator, denominator): phi_l, with c_0 = 1."""
+    c = coefficient_sequence(n, m).values
+    return [[(binomial(l, j) * c[j].numerator, c[j].denominator) for j in range(l + 1)]
+            for l in range(m + 1)]
+
+
+def _multiples(poly: AppellPoly, k: int, phi: list[list[tuple[int, int]]]):
+    """alpha_0..alpha_k with poly = sum_l alpha_l phi_l, or None if poly is no such sum.
+
+    phi_l spans the kernel of D in degree l and its x0^l coefficient is 1,
+    so alpha_l is poly's x0^l coefficient.  A part with alpha_l != 0 must
+    hold all l+1 keys; the count refuses any other key, a part above k too.
+    a = alpha * b is compared cross-multiplied, in integers.
+    """
+    terms = poly.terms
+    alphas = [terms.get((l, 0), ZERO) for l in range(k + 1)]
+    count = 0
+    for l, alpha in enumerate(alphas):
+        if alpha:
+            count += l + 1
+            p, q = alpha.numerator, alpha.denominator
+            row = phi[l]
+            for j in range(1, l + 1):
+                a = terms.get((l - j, j))
+                b, d = row[j]
+                if a is None or a.numerator * q * d != p * b * a.denominator:
+                    return None
+    return alphas if count == len(terms) else None
+
+
+def _passes_by_structure(k: int, alphas: list[list[Fraction] | None]) -> bool:
+    """p_k and p_(k-1) are sums of multiples and l alpha_(k,l) = k alpha_(k-1,l-1), l = 1..k.
+
+    The alphas are compared cross-multiplied, in integers, as in `_multiples`.
+    """
+    a = alphas[k]
+    if a is None or k == 0:
+        return a is not None
+    prev = alphas[k - 1]
+    return prev is not None and all(
+        l * x.numerator * y.denominator == k * y.numerator * x.denominator
+        for l, x, y in zip(range(1, k + 1), a[1:], prev)
+    )
+
+
 def certify(seq: AppellSequence) -> VerifyReport:
     """Full certificate: monogenicity, ladder, and the coefficient identity.
+
+    A degree passes by structure or is decided, with its witness, on the two
+    binary residuals; see the module docstring.
 
     Sequences with a positive shift are coefficient skeletons of products
     with an extra monogenic factor that is not represented here; only the
@@ -236,7 +299,13 @@ def certify(seq: AppellSequence) -> VerifyReport:
     intertwining = check_intertwining(seq.n, seq.shift, seq.m, seq.coeffs)
     results = []
     if seq.shift == 0:
+        # c from n, not seq.coeffs: monogenicity is a property of the polynomials alone
+        phi = _phi_table(seq.n, seq.m)
+        alphas = [_multiples(poly, k, phi) for k, poly in enumerate(seq.polys)]
         for k, poly in enumerate(seq.polys):
+            if _passes_by_structure(k, alphas):
+                results.append(DegreeCheck(k, True, True))
+                continue
             monogenic = _binary_cr(poly, seq.n, 1)
             ladder = AppellPoly(0)  # degree 0 holds vacuously, as in check_appell
             if k:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -700,9 +701,56 @@ def test_streamed_matrix_is_json_dumps_of_the_built_matrix(family, lam, m):
     assert run_main(["matrices", "--m", str(m), *argv]) == (0, json_text(matrix.to_json()), "")
 
 
-def gen_peak_bytes(m: int) -> int:
+class CountingStdout(io.StringIO):
+    """stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def built_tables(family, lam, m):
+    """(argv, header, rows) of the CSV commands of one case, the rows from the built objects."""
+    if family == "pascal":
+        matrix, flags = pascal_matrix(lam, m), [f"--pascal={lam}"]
+    else:
+        matrix, flags = transfer_matrix(family, m, lam), ["--family", family, *lambda_flags(lam)]
+    cells = [(i, j, str(v)) for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
+    yield ["matrices", "--m", str(m), *flags], ["i", "j", "value"], cells
+    if family != "pascal":
+        n = 1 + m % 4
+        seq = build_family(n, m, family, lam=lam)
+        yield ["gen", "--n", str(n), "--m", str(m), *flags], ["k", "i", "j", "a"], seq.csv_rows()
+
+
+@pytest.mark.parametrize("with_float", [False, True])
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize("family, lam", COLUMN_CASES)
+def test_streamed_csv_is_the_built_table_one_write_per_row(family, lam, m, with_float):
+    for argv, header, rows in built_tables(family, lam, m):
+        if with_float:
+            argv, header = argv + ["--float"], header + ["approx"]
+            rows = ((*row, float(Fraction(row[-1]))) for row in rows)
+        rows = [header, *rows]
+        out = CountingStdout()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + ["--format", "csv"]) == 0
+        assert out.getvalue() == csv_text(rows)
+        assert out.writes == len(rows)
+
+
+def gen_peak_bytes(m: int, fmt: str = "json") -> int:
     """tracemalloc peak of one in-process gen at order m, its output sent to devnull."""
     argv = ["gen", "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
+    argv += ["--format", fmt]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -717,6 +765,13 @@ def test_gen_memory_grows_as_m_squared():
     # doubling m should about quadruple the peak, where holding the sequence gives about 8
     gen_peak_bytes(2)  # one-time allocations of a first run
     small, large = gen_peak_bytes(24), gen_peak_bytes(48)
+    assert large / small < 4, (small, large)
+
+
+def test_gen_csv_memory_grows_as_m_squared():
+    # CSV rows are written as they are drawn, like JSON terms
+    gen_peak_bytes(2, "csv")
+    small, large = gen_peak_bytes(24, "csv"), gen_peak_bytes(48, "csv")
     assert large / small < 4, (small, large)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperappell import operators
 from hyperappell.appell import (
     FAMILIES,
     AppellPoly,
@@ -222,6 +223,107 @@ def test_certify_matches_reference_route():
                     failures += not fast["ok"]
     # the corruptions are real: nearly every corrupted case fails
     assert failures > 300
+
+
+def family_lam(family):
+    return Fraction(-4, 7) if family == "frobenius-euler" else None
+
+
+def structure_decisions(seq):
+    """Per degree, (monogenic, ladder) by structure; ladder None where it is left to residuals."""
+    phi = operators._phi_table(seq.n, seq.m)
+    alphas = [operators._multiples(p, k, phi) for k, p in enumerate(seq.polys)]
+    rows = []
+    for k in range(seq.m + 1):
+        ladder = None
+        if k == 0:
+            ladder = True
+        elif alphas[k] is not None and alphas[k - 1] is not None:
+            ladder = operators._passes_by_structure(k, alphas)
+        rows.append((alphas[k] is not None, ladder))
+    return rows
+
+
+def residual_decisions(seq):
+    """Per degree, (monogenic, ladder) from the two binary residuals."""
+    rows = []
+    for k, poly in enumerate(seq.polys):
+        ladder = True
+        if k:
+            ladder = (operators._binary_cr(poly, seq.n, -1) + seq.polys[k - 1] * -k).is_zero()
+        rows.append((operators._binary_cr(poly, seq.n, 1).is_zero(), ladder))
+    return rows
+
+
+def test_structure_decision_matches_binary_residuals():
+    rng = random.Random(47)
+    decided = failed = 0
+    for index, family in enumerate(FAMILIES):
+        # every n up to m = 19; m = 40 at one n per family, which keeps the residuals affordable
+        sizes = [(n, m) for n in range(1, 5) for m in (1, 3, 6, 9, rng.randrange(10, 20))]
+        for n, m in sizes + [(index % 4 + 1, 40)]:
+            seq = build_family(n, m, family=family, lam=family_lam(family))
+            for case in (seq, corrupted(seq, rng, False), corrupted(seq, rng, True)):
+                pairs = zip(structure_decisions(case), residual_decisions(case))
+                for k, ((mono_s, ladder_s), (mono_r, ladder_r)) in enumerate(pairs):
+                    assert mono_s == mono_r, (family, n, m, k)
+                    if ladder_s is not None:
+                        assert ladder_s == ladder_r, (family, n, m, k)
+                        decided += 1
+                    failed += not (mono_r and ladder_r)
+    # both outcomes are exercised: many degrees fail, and the ladder is decided by structure
+    assert failed > 250 and decided > 2000, (failed, decided)
+
+
+def test_certify_decides_corrupted_coefficients_from_the_polynomials():
+    # negative controls edit coeffs and polys together; phi comes from n, so they still fail
+    for n in (1, 2, 3):
+        cs = coefficient_sequence(n, 6)
+        for k in range(7):
+            bad = build_phi(cs.with_value(k, cs.values[k] + 1))
+            report = certify(bad).to_json()
+            assert report == reference_report(bad), (n, k)
+            assert any(row["monogenic"] is False for row in report["results"]), (n, k)
+
+
+def counting_binary_cr(monkeypatch):
+    """Patch operators._binary_cr to record the degree of each member it is called on."""
+    degrees = []
+    original = operators._binary_cr
+
+    def counted(poly, n, sign):
+        degrees.append(poly.degree)
+        return original(poly, n, sign)
+
+    monkeypatch.setattr(operators, "_binary_cr", counted)
+    return degrees
+
+
+def test_passing_sequences_form_no_residual(monkeypatch):
+    degrees = counting_binary_cr(monkeypatch)
+    for family in FAMILIES:
+        for n in range(1, 5):
+            for m in range(13):
+                for c0 in (Fraction(1), Fraction(-5, 3)):
+                    seq = build_family(n, m, family=family, c0=c0, lam=family_lam(family))
+                    assert certify(seq).ok
+                    assert degrees == [], (family, n, m, c0)
+
+
+def test_one_corruption_forms_residuals_at_its_degree_and_the_next(monkeypatch):
+    rng = random.Random(53)
+    degrees = counting_binary_cr(monkeypatch)
+    for family in FAMILIES:
+        for n in range(1, 5):
+            for m in range(1, 13):
+                seq = build_family(n, m, family=family, lam=family_lam(family))
+                for insert in (False, True):
+                    case = corrupted(seq, rng, insert)
+                    k = next(k for k, (a, b) in enumerate(zip(seq.polys, case.polys)) if a != b)
+                    degrees.clear()
+                    report = certify(case)
+                    assert set(degrees) <= {k, k + 1}, (family, n, m, k, degrees)
+                    assert bool(degrees) == (not report.ok), (family, n, m, k)
 
 
 def test_corrupted_coefficient_fails_with_witness():
