@@ -9,26 +9,20 @@ Restricting to the real line recovers the classical polynomials.
 
 from fractions import Fraction
 
-from hyperappell import (
-    bernoulli_transfer,
-    build_family,
-    euler_transfer,
-    frobenius_euler_transfer,
-    hermite_transfer,
-)
+from hyperappell import build_family, transfer_matrix
 
 # The Bernoulli transfer is the inverse of sum H^k / (k+1)!.  Its first
 # column lists the Bernoulli numbers.
-t = bernoulli_transfer(6)
+t = transfer_matrix("bernoulli", 6)
 print("Bernoulli numbers:", ", ".join(str(t[i, 0]) for i in range(7)))
 
 # Frobenius-Euler at lambda = -1 is the Euler transfer.
 print("\nFrobenius-Euler(-1) == Euler:",
-      frobenius_euler_transfer(Fraction(-1), 4) == euler_transfer(4))
+      transfer_matrix("frobenius-euler", 4, Fraction(-1)) == transfer_matrix("euler", 4))
 
 # Hermite: exp(-H^2/4), again a finite sum.
 print("Hermite transfer, m=4:")
-print(hermite_transfer(4))
+print(transfer_matrix("hermite", 4))
 
 # Hypercomplex Bernoulli sequence at n = 2.  The transfer mixes degrees,
 # so the family is not homogeneous: phi_1 picks up the constant -1/2.

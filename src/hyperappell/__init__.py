@@ -44,13 +44,9 @@ from .trimatrix import (
     TriMatrix,
     appell_matrix,
     appell_rows,
-    bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
     egf_reciprocal,
-    euler_transfer,
-    frobenius_euler_transfer,
-    hermite_transfer,
     nilpotent_exp,
     pascal_matrix,
     transfer_matrix,
@@ -74,7 +70,6 @@ __all__ = [
     "VerifyReport",
     "appell_matrix",
     "appell_rows",
-    "bernoulli_transfer",
     "binomial",
     "blade_product",
     "build_family",
@@ -93,14 +88,11 @@ __all__ = [
     "dirac",
     "double_factorial",
     "egf_reciprocal",
-    "euler_transfer",
     "eval_poly",
     "exp_truncated",
     "expand_multivariate",
     "expand_sequence",
     "family_terms",
-    "frobenius_euler_transfer",
-    "hermite_transfer",
     "nilpotent_exp",
     "parse_rational",
     "partial_x0",

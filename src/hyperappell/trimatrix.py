@@ -36,7 +36,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, lcm
 
-from .rationals import ONE, ZERO, parse_rational
+from .rationals import ONE, ZERO
 
 TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
 
@@ -202,10 +202,6 @@ class TriMatrix:
     def to_json(self) -> dict:
         return matrix_json(self.order, self.rows)
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "TriMatrix":
-        return cls([[parse_rational(v) for v in row] for row in payload["rows"]])
-
 
 def matrix_json(m: int, rows, array=list) -> dict:
     """The one JSON layout of a matrix of order m; `array=iter` leaves the rows lazy for a writer."""
@@ -368,45 +364,6 @@ def tri_inverse(matrix: TriMatrix) -> TriMatrix:
                     acc += a * inv.rows[k][j]
             inv.rows[i][j] = -acc / matrix.rows[i][i]
     return inv
-
-
-def bernoulli_transfer(m: int) -> TriMatrix:
-    """Transfer matrix of the generalized Bernoulli sequence.
-
-    f(H) for the series z / (e^z - 1); equivalently the inverse of
-    sum_{k=0..m} H^k / (k+1)!.  Its first column carries the Bernoulli
-    numbers.
-    """
-    return transfer_matrix("bernoulli", m)
-
-
-def frobenius_euler_transfer(lam: Fraction, m: int) -> TriMatrix:
-    """Transfer matrix (1 - lam) (P - lam I)^{-1} with P the Pascal matrix at 1.
-
-    f(H) for the series (1 - lam) / (e^z - lam).  Every eigenvalue of P
-    equals 1, so any rational lam != 1 is admissible.
-    """
-    lam = Fraction(lam)
-    if lam == 1:
-        raise ZeroDivisionError("lambda = 1 makes the transfer matrix singular")
-    return transfer_matrix("frobenius-euler", m, lam)
-
-
-def euler_transfer(m: int) -> TriMatrix:
-    """Transfer matrix of the generalized Euler sequence: 2 (P + I)^{-1}.
-
-    f(H) for the series 2 / (e^z + 1), the Frobenius-Euler one at lam = -1.
-    """
-    return transfer_matrix("euler", m)
-
-
-def hermite_transfer(m: int) -> TriMatrix:
-    """Transfer matrix of the monic Hermite sequence.
-
-    f(H) for the series exp(-z^2/4), i.e. the terminating sum
-    sum_k (-H^2)^k / (2^(2k) k!) with H the creation matrix.
-    """
-    return transfer_matrix("hermite", m)
 
 
 def check_lambda(family: str, lam: Fraction | None) -> None:

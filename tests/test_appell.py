@@ -26,7 +26,6 @@ from hyperappell.clifford import Multivector, Paravector, vector_power
 from hyperappell.rationals import double_factorial
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.trimatrix import (
-    bernoulli_transfer,
     creation_matrix,
     nilpotent_exp,
     transfer_matrix,
@@ -65,11 +64,13 @@ def test_coefficients_shifted_values():
 
 
 def test_recurrence_matches_closed_form_on_grid():
-    for n in range(1, 7):
-        for s in range(4):
-            cs = coefficient_sequence(n, 12, shift=s)
-            for k, value in enumerate(cs.values):
-                assert value == closed_form_coefficient(n, k, shift=s)
+    # the closed form is the reference: coefficient_sequence computes the recurrence alone
+    for c0 in (Fraction(1), Fraction(-3, 7)):
+        for n in [*range(1, 9), 10**9]:
+            for s in range(4):
+                cs = coefficient_sequence(n, 40, c0=c0, shift=s)
+                for k, value in enumerate(cs.values):
+                    assert value == closed_form_coefficient(n, k, c0=c0, shift=s), (c0, n, s, k)
 
 
 def test_closed_form_is_the_double_factorial_formula():
@@ -104,13 +105,6 @@ def test_coefficient_validation():
         coefficient_sequence(2, 3, c0=0)
     with pytest.raises(ValueError):
         coefficient_sequence(2, 3, shift=-1)
-
-
-def test_diagonal_matrix():
-    cs = coefficient_sequence(2, 3)
-    diag = cs.diagonal_matrix()
-    assert diag.diagonal_entries() == list(cs.values)
-    assert diag[2, 1] == 0
 
 
 # -- basic sequence construction --------------------------------------------
@@ -410,7 +404,7 @@ def test_build_phi_omits_zero_coefficients():
 
 def test_inverse_transfer_returns_phi():
     m = 9
-    back = tri_inverse(bernoulli_transfer(m)).apply(build_family(3, m, "bernoulli").polys)
+    back = tri_inverse(transfer_matrix("bernoulli", m)).apply(build_family(3, m, "bernoulli").polys)
     assert back == build_phi(coefficient_sequence(3, m)).polys
 
 
@@ -500,7 +494,7 @@ def test_restrict_hermite_matches_both_oracles():
 def test_restriction_commutes_with_transfer():
     # restrict(T * canonical) = T * (1, x0, x0^2, ...)
     m = 6
-    transfer = bernoulli_transfer(m)
+    transfer = transfer_matrix("bernoulli", m)
     seq = build_family(2, m, family="bernoulli")
     monomials = [
         [Fraction(0)] * k + [Fraction(1)] for k in range(m + 1)

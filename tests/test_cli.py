@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from hyperappell import (
     FAMILIES,
+    TriMatrix,
+    appell,
     build_family,
     build_phi,
     cli,
     coefficient_sequence,
+    creation_matrix,
     pascal_matrix,
     transfer_matrix,
 )
@@ -717,12 +720,18 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def built_matrix(family, lam, m):
+    """(matrix, matrices flags) of one case: Pascal at x0 = lam, H for canonical, or a transfer."""
+    if family == "pascal":
+        return pascal_matrix(lam, m), [f"--pascal={lam}"]
+    if family == "canonical":
+        return creation_matrix(m), []
+    return transfer_matrix(family, m, lam), ["--family", family, *lambda_flags(lam)]
+
+
 def built_tables(family, lam, m):
     """(argv, header, rows) of the CSV commands of one case, the rows from the built objects."""
-    if family == "pascal":
-        matrix, flags = pascal_matrix(lam, m), [f"--pascal={lam}"]
-    else:
-        matrix, flags = transfer_matrix(family, m, lam), ["--family", family, *lambda_flags(lam)]
+    matrix, flags = built_matrix(family, lam, m)
     cells = [(i, j, str(v)) for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
     yield ["matrices", "--m", str(m), *flags], ["i", "j", "value"], cells
     if family != "pascal":
@@ -745,6 +754,35 @@ def test_streamed_csv_is_the_built_table_one_write_per_row(family, lam, m, with_
             assert cli.main(argv + ["--format", "csv"]) == 0
         assert out.getvalue() == csv_text(rows)
         assert out.writes == len(rows)
+
+
+def built_pretty(family, lam, m):
+    """(argv, pieces) of the pretty commands of one case, the text rebuilt from the built objects."""
+    matrix, flags = built_matrix(family, lam, m)
+    cells = [[str(v) for v in row] for row in matrix.rows]
+    width = max(len(c) for row in cells for c in row)
+    yield ["matrices", "--m", str(m), *flags], [
+        " ".join(c.rjust(width) for c in row) + "\n" for row in cells
+    ]
+    if family != "pascal":
+        n = 1 + m % 4
+        seq = build_family(n, m, family, lam=lam)
+        head = f"family: {family}  n: {n}  m: {m}  s: 0\n"
+        head += "" if lam is None else f"lambda: {lam}\n"
+        head += "coeffs: " + ", ".join(map(str, seq.coeffs.values)) + "\n"
+        argv = ["gen", "--n", str(n), "--m", str(m), "--family", family, *lambda_flags(lam)]
+        yield argv, [head] + [f"phi_{k} = {poly}\n" for k, poly in enumerate(seq.polys)]
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize("family, lam", [("canonical", None), *COLUMN_CASES])
+def test_streamed_pretty_is_the_built_text_one_write_per_line(family, lam, m):
+    for argv, pieces in built_pretty(family, lam, m):
+        out = CountingStdout()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + ["--format", "pretty"]) == 0
+        assert out.getvalue() == "".join(pieces)
+        assert out.writes == len(pieces)
 
 
 def gen_peak_bytes(m: int, fmt: str = "json") -> int:
@@ -773,6 +811,47 @@ def test_gen_csv_memory_grows_as_m_squared():
     gen_peak_bytes(2, "csv")
     small, large = gen_peak_bytes(24, "csv"), gen_peak_bytes(48, "csv")
     assert large / small < 4, (small, large)
+
+
+def test_gen_pretty_memory_grows_as_m_squared():
+    # pretty members are formatted and written one at a time, like JSON terms
+    gen_peak_bytes(2, "pretty")
+    small, large = gen_peak_bytes(24, "pretty"), gen_peak_bytes(48, "pretty")
+    assert large / small < 4, (small, large)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, monkeypatch, family):
+    # certify has one route per identity: the coefficient recurrence and the intertwining
+    # identity on its one nonzero diagonal; the matrices and the closed form are test references
+    counts = {"TriMatrix": 0, "closed_form_coefficient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TriMatrix, "__init__", counted("TriMatrix", TriMatrix.__init__))
+    monkeypatch.setattr(
+        TriMatrix, "_of_rows", classmethod(counted("TriMatrix", TriMatrix._of_rows.__func__))
+    )
+    monkeypatch.setattr(
+        appell, "closed_form_coefficient",
+        counted("closed_form_coefficient", appell.closed_form_coefficient),
+    )
+    lam = "-4/7" if family == "frobenius-euler" else None
+    for n in range(1, 5):
+        for m in range(13):
+            flags = ["--n", str(n), "--m", str(m), "--family", family, *lambda_flags(lam)]
+            path = tmp_path / f"n{n}_m{m}.json"
+            assert run_main(["gen", *flags, "--output", str(path)]) == (0, "", "")
+            from_flags = run_main(["verify", *flags])
+            assert from_flags[0] == 0 and json.loads(from_flags[1])["ok"] is True
+            assert run_main(["verify", "--input", str(path)]) == from_flags
+    assert counts == {"TriMatrix": 0, "closed_form_coefficient": 0}
+    run_main(["matrices", "--m", "2"])  # H is built as a TriMatrix, and counted
+    assert counts["TriMatrix"] == 1
 
 
 @pytest.mark.parametrize(

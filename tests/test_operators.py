@@ -31,7 +31,7 @@ from hyperappell.operators import (
     partial_x0,
 )
 from hyperappell.polynomials import CliffordPoly
-from hyperappell.trimatrix import creation_matrix, derivation_matrix
+from hyperappell.trimatrix import TriMatrix, creation_matrix, derivation_matrix
 
 
 def mono(n, exps, coeff):
@@ -404,6 +404,36 @@ def test_intertwining_grid():
             assert check_intertwining(n, s, 12, coeffs)
 
 
+def intertwining_by_matrices(n, s, m, coeffs):
+    """H D_c + D_c Ht is the zero matrix: the dense product, the reference of the identity."""
+    diag = TriMatrix.diagonal(coeffs.values[: m + 1])
+    return (creation_matrix(m) @ diag + diag @ derivation_matrix(n, m, shift=s)).is_zero()
+
+
+def intertwining_by_pattern(n, s, m, coeffs):
+    """(j+1) c_j = (n+j+2s) c_(j+1) for even j and c_j = c_(j+1) for odd j, j = 0..m-1."""
+    c = coeffs.values
+    return all(
+        (j + 1) * c[j] == (n + j + 2 * s if j % 2 == 0 else j + 1) * c[j + 1] for j in range(m)
+    )
+
+
+def test_intertwining_matches_the_matrix_product_and_the_pattern():
+    # n 1..6, s 0..3, m 0..12; the intact coefficients and every single-entry edit
+    outcomes = set()
+    for n in range(1, 7):
+        for s in range(4):
+            intact = coefficient_sequence(n, 12, shift=s)
+            edits = [intact.with_value(k, c + 1) for k, c in enumerate(intact.values)]
+            for coeffs in [intact, *edits]:
+                for m in range(13):
+                    expected = intertwining_by_matrices(n, s, m, coeffs)
+                    assert intertwining_by_pattern(n, s, m, coeffs) == expected, (n, s, m, coeffs)
+                    assert check_intertwining(n, s, m, coeffs) == expected, (n, s, m, coeffs)
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_intertwining_negative_control():
     cs = coefficient_sequence(2, 6)
     assert not check_intertwining(2, 0, 6, cs.with_value(1, cs.values[1] + 1))
@@ -417,6 +447,13 @@ def test_intertwining_validates_metadata():
         check_intertwining(2, 0, 6, cs)
     with pytest.raises(ValueError):
         check_intertwining(2, 1, 9, cs)
+    with pytest.raises(ValueError):
+        check_intertwining(2, 1, -1, cs)
+    # n < 1 and s < 0 are refused even for coefficients built by hand to match them
+    with pytest.raises(ValueError):
+        check_intertwining(0, 0, 0, CoeffSequence(0, 0, (Fraction(1),)))
+    with pytest.raises(ValueError):
+        check_intertwining(2, -1, 0, CoeffSequence(2, -1, (Fraction(1),)))
 
 
 def test_intertwining_implies_monogenic_on_grid():

@@ -11,13 +11,9 @@ from hyperappell.trimatrix import (
     TriMatrix,
     appell_matrix,
     appell_rows,
-    bernoulli_transfer,
     creation_matrix,
     derivation_matrix,
     egf_reciprocal,
-    euler_transfer,
-    frobenius_euler_transfer,
-    hermite_transfer,
     nilpotent_exp,
     pascal_column,
     pascal_matrix,
@@ -186,7 +182,7 @@ def test_egf_reciprocal_refuses_zero_head():
 def test_bernoulli_transfer_first_column():
     # column 0 carries the Bernoulli numbers
     m = 40
-    transfer = bernoulli_transfer(m)
+    transfer = transfer_matrix("bernoulli", m)
     numbers = bernoulli_numbers(m)
     assert [transfer[i, 0] for i in range(m + 1)] == numbers
 
@@ -202,7 +198,7 @@ def test_bernoulli_transfer_defining_identity():
         fact *= k + 1  # (k+1)!
         acc = acc + term.scale(Fraction(1, fact))
         term = term @ h
-    assert bernoulli_transfer(m) @ acc == TriMatrix.identity(m)
+    assert transfer_matrix("bernoulli", m) @ acc == TriMatrix.identity(m)
 
 
 def test_bernoulli_transfer_matches_dense_inverse():
@@ -219,7 +215,7 @@ def test_bernoulli_transfer_matches_dense_inverse():
         series = dense_add(series, dense_scale(term, Fraction(1, fact)))
     expected = dense_inverse(series)
     for m in range(top + 1):
-        assert bernoulli_transfer(m).rows == lower_part(expected, m), m
+        assert transfer_matrix("bernoulli", m).rows == lower_part(expected, m), m
 
 
 @settings(max_examples=15, deadline=None)
@@ -233,28 +229,26 @@ def test_frobenius_euler_transfer_matches_dense_inverse(lam):
     shifted = dense_add(dense_pascal_one(top), dense_scale(dense_identity(top + 1), -lam))
     expected = dense_scale(dense_inverse(shifted), 1 - lam)
     for m in range(top + 1):
-        assert frobenius_euler_transfer(lam, m).rows == lower_part(expected, m), (lam, m)
+        assert transfer_matrix("frobenius-euler", m, lam).rows == lower_part(expected, m), (lam, m)
 
 
 def test_transfer_builders_reject_negative_order():
-    for build in (bernoulli_transfer, euler_transfer, hermite_transfer):
+    for family in TRANSFER_FAMILIES:
         with pytest.raises(ValueError):
-            build(-1)
-    with pytest.raises(ValueError):
-        frobenius_euler_transfer(Fraction(2), -1)
+            transfer_matrix(family, -1, Fraction(2) if family == "frobenius-euler" else None)
     with pytest.raises(ValueError):
         appell_matrix([])
 
 
 def test_euler_transfer_small():
-    t = euler_transfer(1)
+    t = transfer_matrix("euler", 1)
     assert t[0, 0] == 1 and t[1, 0] == Fraction(-1, 2) and t[1, 1] == 1
-    assert euler_transfer(4) == frobenius_euler_transfer(Fraction(-1), 4)
+    assert transfer_matrix("euler", 4) == transfer_matrix("frobenius-euler", 4, Fraction(-1))
 
 
 def test_frobenius_euler_rejects_lambda_one():
-    with pytest.raises(ZeroDivisionError):
-        frobenius_euler_transfer(Fraction(1), 3)
+    with pytest.raises(ValueError):
+        transfer_matrix("frobenius-euler", 3, Fraction(1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,17 +297,11 @@ def test_transfer_column_is_column_0_of_the_reference(family, lam, m):
     assert list(appell_rows(column)) == reference.rows
 
 
-def test_transfer_matrix_is_the_named_builder():
+def test_transfer_matrix_is_the_reference_series():
     lam = Fraction(2, 3)
-    builders = {
-        "bernoulli": bernoulli_transfer(6),
-        "euler": euler_transfer(6),
-        "frobenius-euler": frobenius_euler_transfer(lam, 6),
-        "hermite": hermite_transfer(6),
-    }
-    assert tuple(builders) == TRANSFER_FAMILIES
-    for family, expected in builders.items():
-        assert transfer_matrix(family, 6, lam if family == "frobenius-euler" else None) == expected
+    for family in TRANSFER_FAMILIES:
+        lam_or_none = lam if family == "frobenius-euler" else None
+        assert transfer_matrix(family, 6, lam_or_none) == reference_transfer(family, 6, lam_or_none)
 
 
 @pytest.mark.parametrize(
@@ -337,13 +325,13 @@ def test_transfer_matrix_refuses_with_value_error(family, lam):
 def test_frobenius_euler_defining_identity():
     lam = Fraction(2, 5)
     m = 6
-    t = frobenius_euler_transfer(lam, m)
+    t = transfer_matrix("frobenius-euler", m, lam)
     p = pascal_matrix(Fraction(1), m)
     assert t @ (p - TriMatrix.identity(m).scale(lam)) == TriMatrix.identity(m).scale(1 - lam)
 
 
 def test_hermite_transfer_small():
-    t = hermite_transfer(2)
+    t = transfer_matrix("hermite", 2)
     assert t[0, 0] == 1 and t[1, 1] == 1 and t[2, 2] == 1
     assert t[2, 0] == Fraction(-1, 2) and t[1, 0] == 0 and t[2, 1] == 0
 
@@ -352,7 +340,7 @@ def test_hermite_transfer_is_exp_of_minus_h_squared_quarter():
     for m in range(SLOW_ROUTE_MAX_M + 1):
         h = creation_matrix(m)
         h2 = (h @ h).scale(Fraction(-1, 4))
-        assert hermite_transfer(m) == nilpotent_exp(h2, Fraction(1)), m
+        assert transfer_matrix("hermite", m) == nilpotent_exp(h2, Fraction(1)), m
 
 
 def test_apply_on_rationals_matches_dense():
@@ -370,13 +358,6 @@ def test_apply_on_rationals_matches_dense():
 def test_apply_length_mismatch():
     with pytest.raises(ValueError):
         creation_matrix(3).apply([Fraction(1)] * 3)
-
-
-def test_json_round_trip():
-    m = pascal_matrix(Fraction(-2, 3), 4)
-    payload = m.to_json()
-    assert payload["m"] == 4
-    assert TriMatrix.from_json(payload) == m
 
 
 def test_diagonal_helpers():
