@@ -49,4 +49,4 @@ for row in broken.results:
 # Shifted coefficient families satisfy the matrix intertwining relation
 # H D + D H~ = O even though they are not themselves monogenic.
 coeffs = coefficient_sequence(2, 8, shift=1)
-print("\nintertwining, n=2 s=1 m=8:", check_intertwining(2, 1, 8, coeffs))
+print("\nintertwining, n=2 s=1 m=8:", check_intertwining(coeffs))

@@ -38,7 +38,7 @@ from .operators import (
     partial_x0,
 )
 from .polynomials import CliffordPoly
-from .rationals import binomial, double_factorial, parse_rational, read_rational
+from .rationals import double_factorial, parse_rational, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
     TriMatrix,
@@ -70,7 +70,6 @@ __all__ = [
     "VerifyReport",
     "appell_matrix",
     "appell_rows",
-    "binomial",
     "blade_product",
     "build_family",
     "build_phi",

@@ -35,16 +35,8 @@ from types import MappingProxyType
 
 from .clifford import Multivector, Paravector
 from .polynomials import CliffordPoly
-from .rationals import ONE, ZERO, binomial, read_rational
-from .trimatrix import (
-    TRANSFER_FAMILIES,
-    appell_rows,
-    check_dimension,
-    check_lambda,
-    transfer_column,
-)
-
-FAMILIES = ("canonical",) + TRANSFER_FAMILIES
+from .rationals import ONE, ZERO, read_rational
+from .trimatrix import FAMILIES, appell_rows, check_dimension, check_lambda, transfer_column
 
 
 def check_header(family: str, lam: Fraction | None = None, shift: int = 0) -> None:
@@ -301,12 +293,6 @@ class AppellSequence:
             raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
         return cls(family=family, polys=polys, coeffs=coeffs, lam=lam)
 
-    def csv_rows(self) -> Iterator[tuple[int, int, int, str]]:
-        """One (k, i, j, a) row per stored term."""
-        for k, poly in enumerate(self.polys):
-            for (i, j), a in poly.sorted_terms():
-                yield k, i, j, str(a)
-
 
 _JSON_NAMES = {list: "a list", str: "a string", int: "an integer"}
 
@@ -357,7 +343,7 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
     """
     values = coeffs.values
     phi = [
-        [((l - j, j), binomial(l, j) * values[j]) for j in range(l + 1) if values[j]]
+        [((l - j, j), math.comb(l, j) * values[j]) for j in range(l + 1) if values[j]]
         for l in range(coeffs.m + 1)
     ]
     for row in appell_rows(column):
@@ -374,14 +360,9 @@ def _members(terms) -> list[AppellPoly]:
     return polys
 
 
-def _canonical_column(m: int) -> list[Fraction]:
-    """(1, 0, ..., 0): the identity is f(H) for f = 1."""
-    return [ONE] + [ZERO] * m
-
-
 def build_phi(coeffs: CoeffSequence) -> AppellSequence:
     """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..coeffs.m."""
-    polys = _members(transferred_terms(_canonical_column(coeffs.m), coeffs))
+    polys = _members(transferred_terms(transfer_column("canonical", coeffs.m), coeffs))
     return AppellSequence(family="canonical", polys=polys, coeffs=coeffs)
 
 
@@ -393,19 +374,17 @@ def family_terms(
     lam: Fraction | None = None,
     shift: int = 0,
 ):
-    """(family, coeffs, lam, members) of a named sequence; members lazy, as `transferred_terms`.
+    """(family, coeffs, lam, column) of a named sequence, with the series column t_0..t_m.
 
-    The header rules are `check_header`'s, the same a loaded file passes.
-    Every check runs here, before the first member is drawn.
+    The members are `transferred_terms(column, coeffs)`, drawn lazily as
+    often as a caller needs.  The header rules are `check_header`'s, the
+    same a loaded file passes.  Every check runs here, before the first
+    member is drawn.
     """
     check_header(family, lam, shift)
     coeffs = coefficient_sequence(n, m, c0=c0, shift=shift)
-    if family == "canonical":
-        column = _canonical_column(m)
-    else:
-        column = transfer_column(family, m, lam)
     lam = None if lam is None else Fraction(lam)
-    return family, coeffs, lam, transferred_terms(column, coeffs)
+    return family, coeffs, lam, transfer_column(family, m, lam)
 
 
 def build_family(
@@ -421,8 +400,8 @@ def build_family(
     `family_terms`, materialized.  `TriMatrix.apply` on `build_phi`'s
     members is the reference for T phi.
     """
-    family, coeffs, lam, members = family_terms(n, m, family, c0, lam, shift)
-    return AppellSequence(family, _members(members), coeffs, lam)
+    family, coeffs, lam, column = family_terms(n, m, family, c0, lam, shift)
+    return AppellSequence(family, _members(transferred_terms(column, coeffs)), coeffs, lam)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -489,14 +468,21 @@ def eval_poly(poly: AppellPoly, x: Paravector) -> Multivector:
     """Exact value sum_{(i,j)} a_{ij} x0^i v^j at a rational paravector.
 
     Evaluated in binary form: x0 and v commute and v^2 = -|v|^2 is a
-    rational, so the value is A + B v for two rationals.  A term adds
-    a x0^i (-|v|^2)^(j//2) to A for even j and to B for odd j; no
-    Clifford product is formed.
+    rational, so the value is A + B v for two rationals.  The terms of
+    each vector exponent j sum to sum_i a x0^i, with the powers of x0
+    built one step at a time; that sum, times (-|v|^2)^(j//2), goes to A
+    for even j and to B for odd j.  No Clifford product is formed.
     """
+    powers = [ONE]  # x0^0, x0^1, ...
+    sums: dict[int, Fraction] = {}
+    for (i, j), a in poly.terms.items():
+        while len(powers) <= i:
+            powers.append(powers[-1] * x.x0)
+        sums[j] = sums.get(j, ZERO) + a * powers[i]
     square = -x.vector_norm_sq()
     parts = [ZERO, ZERO]  # A, B
-    for (i, j), a in poly.terms.items():
-        parts[j % 2] += a * x.x0**i * square ** (j // 2)
+    for j, total in sums.items():
+        parts[j % 2] += total * square ** (j // 2)
     return _paravector_value(x, *parts)
 
 

@@ -19,12 +19,12 @@ reported on stderr as one "internal error:" line).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import re
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 
 from .appell import (
     FAMILIES,
@@ -34,6 +34,7 @@ from .appell import (
     family_terms,
     member_text,
     sequence_json,
+    transferred_terms,
 )
 from .clifford import Multivector, Paravector
 from .operators import VerifyReport, certify
@@ -67,6 +68,29 @@ def _check_size(flag: str, value: int, estimate: int, unit: str) -> None:
         )
 
 
+def _check_digits(column, coeffs) -> None:
+    """Refuse, before the first byte, output with a number past CPython's int-to-str digit limit.
+
+    `gen` prints c_j and each a = C(k, l) t_(k-l) C(l, j) c_j; the entries
+    of `matrices` are the a of c = (1, 0, ..., 0).  As (k-l) + j <= m,
+    |num a| <= C(m, k-l) |num t_(k-l)| times the largest C(m, i) |num c_i|
+    with i <= m-k+l, and den a <= max den t * max den c; as t_0 = 1, that
+    covers each c_j too.  O(m) integer work.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython < 3.10.7 has none
+    if not (limit and column):  # 0 is no limit; an empty column (m < 0) is refused later
+        return
+    m = len(column) - 1
+    best = list(accumulate((math.comb(m, i) * abs(c.numerator) for i, c in enumerate(coeffs)), max))
+    num = max(math.comb(m, d) * abs(t.numerator) * best[m - d] for d, t in enumerate(column))
+    bound = max(num, max(t.denominator for t in column) * max(c.denominator for c in coeffs))
+    if bound >= 10**limit:
+        raise ValueError(
+            f"the output would hold numbers of about {int(math.log10(bound)) + 1} digits,"
+            f" more than the limit of {limit} digits for int to str conversion"
+        )
+
+
 def _triangle(m: int) -> int:
     """(m+1)(m+2)/2: entries of a triangular matrix, terms of phi_0..phi_m."""
     return (m + 1) * (m + 2) // 2
@@ -91,9 +115,8 @@ def _csv(header: list[str], rows, with_float: bool):
     if with_float:
         approx = [approximate(parse_rational(row[-1]), "--float") for row in drawn]
         header, drawn = header + ["approx"], ([*row, a] for row, a in zip(rows(), approx))
-    # writerow returns what its file's write returns: here the formatted line itself
-    writer = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
-    return (writer.writerow(row) for part in ([header], drawn) for row in part)
+    # no field holds a comma, a quote or a line break, so none needs quoting
+    return (",".join(map(str, row)) + "\n" for part in ([header], drawn) for row in part)
 
 
 def _emit(out, output: str | None) -> None:
@@ -115,8 +138,8 @@ def _emit(out, output: str | None) -> None:
 def _mv_json(mv: Multivector, with_float: bool) -> dict:
     payload = mv.to_json()
     if with_float:
-        for term in payload["terms"]:
-            term["approx"] = approximate(parse_rational(term["coeff"]), "--float")
+        for term, (_, coeff) in zip(payload["terms"], mv.sorted_terms()):
+            term["approx"] = approximate(coeff, "--float")
     return payload
 
 
@@ -170,21 +193,22 @@ def _load_sequence(args) -> AppellSequence:
 
 
 def cmd_gen(args) -> int:
+    family, coeffs, lam, column = family_terms(**_build_flags(args))
+    _check_digits(column, coeffs.values)
     if args.format == "json":
-        family, coeffs, lam, members = family_terms(**_build_flags(args))
-        out = sequence_json(family, coeffs, lam, members, array=iter)
+        out = sequence_json(family, coeffs, lam, transferred_terms(column, coeffs), array=iter)
         if args.float:
             out["coeffs_approx"] = [approximate(c, "--float") for c in coeffs.values]
     elif args.format == "csv":
-        flags = _build_flags(args)
-        rows = lambda: ((k, i, j, str(a)) for k, member in enumerate(family_terms(**flags)[3])
+        rows = lambda: ((k, i, j, str(a))
+                        for k, member in enumerate(transferred_terms(column, coeffs))
                         for (i, j), a in member)
         out = _csv(["k", "i", "j", "a"], rows, args.float)
     else:
-        family, coeffs, lam, members = family_terms(**_build_flags(args))
         head = f"family: {family}  n: {coeffs.n}  m: {coeffs.m}  s: {coeffs.shift}\n"
         head += "" if lam is None else f"lambda: {lam}\n"
         head += "coeffs: " + ", ".join(map(str, coeffs.values)) + "\n"
+        members = transferred_terms(column, coeffs)
         out = chain([head], (f"phi_{k} = {member_text(t)}\n" for k, t in enumerate(members)))
     _emit(out, args.output)
     return 0
@@ -275,6 +299,7 @@ def _matrix_rows(args):
     else:
         rows = creation_matrix(args.m).rows
         return lambda: iter(rows)
+    _check_digits(column, transfer_column("canonical", args.m))
     # appell_rows refuses an empty column (m < 0) when called, before the first byte
     return lambda: appell_rows(column)
 

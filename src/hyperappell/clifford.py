@@ -279,10 +279,6 @@ class Paravector(namedtuple("Paravector", "x0 vec")):
     def conjugate(self) -> "Paravector":
         return Paravector(self.x0, tuple(-v for v in self.vec))
 
-    def norm_sq(self) -> Fraction:
-        """x0^2 + x1^2 + ... + xn^2; the scalar x * conjugate(x)."""
-        return self.x0 * self.x0 + sum((v * v for v in self.vec), ZERO)
-
     def vector_norm_sq(self) -> Fraction:
         return sum((v * v for v in self.vec), ZERO)
 

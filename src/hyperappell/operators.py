@@ -26,14 +26,16 @@ the column of vector powers through a one-subdiagonal matrix, and the
 defining coefficient constraint is equivalent to an anticommutation
 relation between the creation matrix and that subdiagonal matrix weighted
 by the coefficient diagonal.  Both matrices have one nonzero subdiagonal,
-so the relation is checked on that diagonal alone, m scalar comparisons;
-the tests keep the dense matrix product as its reference.
+so the relation is checked on that diagonal alone, m scalar comparisons
+for the n, s and c_0..c_m that a CoeffSequence carries; the tests keep
+the dense matrix product as its reference.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
 from .appell import (
     AppellPoly,
@@ -45,7 +47,7 @@ from .appell import (
 )
 from .clifford import Multivector
 from .polynomials import CliffordPoly
-from .rationals import ZERO, binomial
+from .rationals import ZERO
 from .trimatrix import check_dimension, derivation_entry, derivation_matrix
 
 HALF = Fraction(1, 2)
@@ -177,26 +179,17 @@ def check_xi_derivation(n: int, m: int) -> bool:
     return True
 
 
-def check_intertwining(n: int, s: int, m: int, coeffs: CoeffSequence) -> bool:
-    """H D_c + D_c Ht = 0 for the degrees 0..m.
+def check_intertwining(coeffs: CoeffSequence) -> bool:
+    """H D_c + D_c Ht = 0 for the degrees 0..m, with n, s and m those of `coeffs`.
 
     H and Ht each have one nonzero subdiagonal and D_c is diagonal, so the
     left side vanishes off the first subdiagonal, whose entry (i, i-1) is
     i c_(i-1) + c_i Ht[i, i-1].  For even j = i-1 that is the recurrence
     (j+1) c_j = (n+j+2s) c_(j+1), for odd j it is c_j = c_(j+1).
     """
+    n, s, c = coeffs.n, coeffs.shift, coeffs.values
     check_dimension(n, s)
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if coeffs.n != n or coeffs.shift != s:
-        raise ValueError(
-            f"coefficients were built for (n={coeffs.n}, s={coeffs.shift}), "
-            f"not (n={n}, s={s})"
-        )
-    if coeffs.m < m:
-        raise ValueError(f"coefficients cover degrees 0..{coeffs.m}, need 0..{m}")
-    c = coeffs.values
-    return all(i * c[i - 1] + c[i] * derivation_entry(n, i, s) == 0 for i in range(1, m + 1))
+    return all(i * c[i - 1] + c[i] * derivation_entry(n, i, s) == 0 for i in range(1, len(c)))
 
 
 def _binary_cr(poly: AppellPoly, n: int, sign: int) -> AppellPoly:
@@ -225,7 +218,7 @@ def _binary_witness(residual: AppellPoly, n: int) -> dict:
 def _phi_table(n: int, m: int) -> list[list[tuple[int, int]]]:
     """C(l,j) c_j for j = 0..l, l = 0..m, as (numerator, denominator): phi_l, with c_0 = 1."""
     c = coefficient_sequence(n, m).values
-    return [[(binomial(l, j) * c[j].numerator, c[j].denominator) for j in range(l + 1)]
+    return [[(comb(l, j) * c[j].numerator, c[j].denominator) for j in range(l + 1)]
             for l in range(m + 1)]
 
 
@@ -279,7 +272,7 @@ def certify(seq: AppellSequence) -> VerifyReport:
     intertwining identity applies to them, so the per-degree checks are
     skipped.
     """
-    intertwining = check_intertwining(seq.n, seq.shift, seq.m, seq.coeffs)
+    intertwining = check_intertwining(seq.coeffs)
     results = []
     if seq.shift == 0:
         # c from n, not seq.coeffs: monogenicity is a property of the polynomials alone

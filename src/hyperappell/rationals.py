@@ -11,7 +11,6 @@ renderings next to the exact values.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -42,13 +41,6 @@ def read_rational(value, name: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"{name} expects an exact rational like 3 or -3/4, got {value!r}")
-
-
-def binomial(i: int, j: int) -> int:
-    """Binomial coefficient C(i, j), with C(i, j) = 0 for j > i."""
-    if i < 0 or j < 0:
-        raise ValueError("binomial expects nonnegative arguments")
-    return math.comb(i, j)
 
 
 def double_factorial(k: int) -> int:

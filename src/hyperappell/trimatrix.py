@@ -10,12 +10,14 @@ Frobenius-Euler and monic Hermite families.
 H^k has the single nonzero diagonal i!/j! at i - j = k, so f(H) for a power
 series f is the Appell matrix T[i][j] = C(i, j) t_(i-j), where t_k = k! times
 the coefficient of z^k in f: the whole matrix is fixed by its first column.
-`transfer_column` computes that column in O(m^2) for each family, the one
-family dispatch, and `appell_rows` yields the rows from it one at a time,
-so a caller that consumes a row before drawing the next never holds the
-O(m^2) entries at once.  Each Pascal and transfer matrix is f(H) for one
-series; `appell_matrix` materializes the rows of its column:
+`transfer_column` computes that column in O(m^2) for each name in FAMILIES,
+the one family dispatch (canonical is f = 1, the identity), and
+`appell_rows` yields the rows from it one at a time, so a caller that
+consumes a row before drawing the next never holds the O(m^2) entries at
+once.  Each Pascal and transfer matrix is f(H) for one series;
+`appell_matrix` materializes the rows of its column:
 
+    canonical           1
     Pascal P(x0)        exp(x0 z)
     Bernoulli           z / (e^z - 1)
     Euler               2 / (e^z + 1)
@@ -39,6 +41,7 @@ from math import comb, lcm
 from .rationals import ONE, ZERO
 
 TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
+FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
 
 class TriMatrix:
@@ -378,12 +381,15 @@ def check_lambda(family: str, lam: Fraction | None) -> None:
 
 
 def transfer_column(family: str, m: int, lam: Fraction | None = None) -> list[Fraction]:
-    """Column t_0..t_m of the transfer matrix f(H) of a family in TRANSFER_FAMILIES.
+    """Column t_0..t_m of the transfer matrix f(H) of a family in FAMILIES; empty for m < 0.
 
     `lam` is checked by `check_lambda`.  O(m^2) rational operations; the
     matrix itself is `appell_matrix` of this column.
     """
     check_lambda(family, lam)
+    if family == "canonical":
+        # f = 1: the identity
+        return [ONE if k == 0 else ZERO for k in range(m + 1)]
     if family == "bernoulli":
         # z / (e^z - 1): the reciprocal of (e^z - 1)/z, whose coefficients are 1/(k+1)
         return egf_reciprocal([Fraction(1, k + 1) for k in range(m + 1)])
@@ -401,9 +407,9 @@ def transfer_column(family: str, m: int, lam: Fraction | None = None) -> list[Fr
             else:
                 column.append(column[-2] * Fraction(1 - k, 2) if k else ONE)
         return column
-    raise ValueError(f"unknown transfer family {family!r}; expected one of {TRANSFER_FAMILIES}")
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 def transfer_matrix(family: str, m: int, lam: Fraction | None = None) -> TriMatrix:
-    """The transfer matrix of a family in TRANSFER_FAMILIES: `appell_matrix` of its column."""
+    """The transfer matrix of a family in FAMILIES: `appell_matrix` of its column."""
     return appell_matrix(transfer_column(family, m, lam))

@@ -90,9 +90,8 @@ def test_criterion_02_intertwining_identity(report):
         start = time.perf_counter()
         for n in range(1, 7):
             for s in range(0, 4):
-                coeffs = coefficient_sequence(n, 12, shift=s)
                 for m in range(0, 13):
-                    assert check_intertwining(n, s, m, coeffs), (n, s, m)
+                    assert check_intertwining(coefficient_sequence(n, m, shift=s)), (n, s, m)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"intertwining sweep took {elapsed:.2f}s"
 

@@ -737,7 +737,9 @@ def built_tables(family, lam, m):
     if family != "pascal":
         n = 1 + m % 4
         seq = build_family(n, m, family, lam=lam)
-        yield ["gen", "--n", str(n), "--m", str(m), *flags], ["k", "i", "j", "a"], seq.csv_rows()
+        terms = [(k, i, j, str(a))
+                 for k, p in enumerate(seq.polys) for (i, j), a in p.sorted_terms()]
+        yield ["gen", "--n", str(n), "--m", str(m), *flags], ["k", "i", "j", "a"], terms
 
 
 @pytest.mark.parametrize("with_float", [False, True])
@@ -894,6 +896,65 @@ def test_size_budget_counts_terms_and_entries(monkeypatch):
     assert run_main(["exp", "--n", "1", "--point", "0,1", "--order", "5"])[0] == 2
 
 
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits for one test; the limit in force before is restored after."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_numbers_past_the_digit_limit_exit_2_before_the_first_byte(digit_limit):
+    # CPython's default limit of 4300 digits: these wrote megabytes before failing mid-document
+    digit_limit(4300)
+    e60 = 10**60
+    for args in (["matrices", "--m", "72", f"--pascal={e60}"],
+                 ["gen", "--n", "2", "--m", "40", f"--c0={10**4290}"]):
+        for fmt in ("json", "csv", "pretty"):
+            status, out, err = run_main([*args, "--format", fmt])
+            assert (status, out) == (2, "")
+            assert err.startswith("error: the output would hold numbers of about")
+            assert err.endswith(" more than the limit of 4300 digits for int to str conversion\n")
+    # the bound is tight for Pascal: one order less is written in full
+    argv = ["matrices", "--m", "71", f"--pascal={e60}"]
+    assert run_main(argv) == (0, json_text(pascal_matrix(e60, 71).to_json()), "")
+
+
+def gen_values(seq):
+    return [*seq.coeffs.values, *(a for p in seq.polys for a in p.terms.values())]
+
+
+LAM_60 = Fraction(1, 10**60)
+DIGIT_CASES = {
+    "pascal": (["matrices", f"--pascal={10**60}"],
+               lambda m: [v for row in pascal_matrix(10**60, m).rows for v in row]),
+    "matrices-fe": (["matrices", "--family", "frobenius-euler", f"--lambda={LAM_60}"],
+                    lambda m: [v for row in transfer_matrix("frobenius-euler", m, LAM_60).rows
+                               for v in row]),
+    "gen-fe": (["gen", "--n", "2", "--family", "frobenius-euler", f"--lambda={LAM_60}"],
+               lambda m: gen_values(build_family(2, m, "frobenius-euler", lam=LAM_60))),
+    "gen-c0": (["gen", "--n", "2", f"--c0={10**635}"],
+               lambda m: gen_values(build_family(2, m, c0=10**635))),
+}
+
+
+@pytest.mark.parametrize("case", DIGIT_CASES)
+def test_digit_refusal_is_exact_on_these_families(digit_limit, case):
+    # at the smallest limit CPython allows: exit 2 with empty stdout and one line exactly
+    # when a number printed would pass it, and no refusal at all with the limit off
+    args, values = DIGIT_CASES[case]
+    outcomes = set()
+    for m in range(25):
+        digit_limit(640)
+        past = any(max(abs(v.numerator), v.denominator) >= 10**640 for v in values(m))
+        status, out, err = run_main([*args, "--m", str(m), "--format", "csv"])
+        assert (status, out == "", err.count("\n")) == ((2, True, 1) if past else (0, False, 0)), m
+        outcomes.add(past)
+        digit_limit(0)
+        assert run_main([*args, "--m", str(m), "--format", "csv"])[0] == 0
+    assert outcomes == {True, False}
+
+
 def test_size_budget_admits_the_large_commands():
     # ten times the largest commands in use: gen or verify of a transfer family at m = 80,
     # matrices at m = 250, verify of the canonical family at m = 120
@@ -970,11 +1031,12 @@ def test_unknown_subcommand_exits_2():
 
 def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
     # Every command would pay for these at start-up: dataclasses pulls in inspect, ast,
-    # dis and tokenize, and typing takes a few ms. -S keeps a site hook from preloading one.
+    # dis and tokenize, and typing takes a few ms; CSV lines are joined, with no csv module.
+    # -S keeps a site hook from preloading one.
     script = (
         "import sys, hyperappell.cli\n"
-        "code = hyperappell.cli.main(['gen', '--n', '2', '--m', '3'])\n"
-        "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "code = hyperappell.cli.main(['gen', '--n', '2', '--m', '3', '--format', 'csv'])\n"
+        "print(code, sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],

@@ -115,7 +115,7 @@ def test_conjugation_is_an_antiautomorphism():
 def test_paravector_norm_via_conjugate():
     x = Paravector(Fraction(1, 2), (Fraction(2), Fraction(-1, 3)))
     prod = x.to_multivector() * x.conjugate().to_multivector()
-    assert prod == Multivector.scalar(2, x.norm_sq())
+    assert prod == Multivector.scalar(2, x.x0**2 + x.vector_norm_sq())
 
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)

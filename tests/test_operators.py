@@ -166,7 +166,7 @@ def test_certify_merges_monogenic_and_ladder():
 
 def reference_report(seq):
     """certify's JSON, assembled from the expansion-based route."""
-    intertwining = check_intertwining(seq.n, seq.shift, seq.m, seq.coeffs)
+    intertwining = check_intertwining(seq.coeffs)
     rows = []
     for mono_row, ladder_row in zip(
         check_monogenic(seq).results, check_appell(seq).results
@@ -400,8 +400,7 @@ def test_derivation_matrix_is_minus_creation_at_n1():
 def test_intertwining_grid():
     for n in range(1, 7):
         for s in range(4):
-            coeffs = coefficient_sequence(n, 12, shift=s)
-            assert check_intertwining(n, s, 12, coeffs)
+            assert check_intertwining(coefficient_sequence(n, 12, shift=s))
 
 
 def intertwining_by_matrices(n, s, m, coeffs):
@@ -429,38 +428,30 @@ def test_intertwining_matches_the_matrix_product_and_the_pattern():
                 for m in range(13):
                     expected = intertwining_by_matrices(n, s, m, coeffs)
                     assert intertwining_by_pattern(n, s, m, coeffs) == expected, (n, s, m, coeffs)
-                    assert check_intertwining(n, s, m, coeffs) == expected, (n, s, m, coeffs)
+                    prefix = CoeffSequence(n, s, coeffs.values[: m + 1])
+                    assert check_intertwining(prefix) == expected, (n, s, m, coeffs)
                     outcomes.add(expected)
     assert outcomes == {True, False}
 
 
 def test_intertwining_negative_control():
     cs = coefficient_sequence(2, 6)
-    assert not check_intertwining(2, 0, 6, cs.with_value(1, cs.values[1] + 1))
+    assert not check_intertwining(cs.with_value(1, cs.values[1] + 1))
 
 
 def test_intertwining_validates_metadata():
-    cs = coefficient_sequence(2, 6, shift=1)
+    # n < 1 and s < 0 are refused even for coefficients built by hand
     with pytest.raises(ValueError):
-        check_intertwining(3, 1, 6, cs)
+        check_intertwining(CoeffSequence(0, 0, (Fraction(1),)))
     with pytest.raises(ValueError):
-        check_intertwining(2, 0, 6, cs)
-    with pytest.raises(ValueError):
-        check_intertwining(2, 1, 9, cs)
-    with pytest.raises(ValueError):
-        check_intertwining(2, 1, -1, cs)
-    # n < 1 and s < 0 are refused even for coefficients built by hand to match them
-    with pytest.raises(ValueError):
-        check_intertwining(0, 0, 0, CoeffSequence(0, 0, (Fraction(1),)))
-    with pytest.raises(ValueError):
-        check_intertwining(2, -1, 0, CoeffSequence(2, -1, (Fraction(1),)))
+        check_intertwining(CoeffSequence(2, -1, (Fraction(1),)))
 
 
 def test_intertwining_implies_monogenic_on_grid():
     # the reconstruction argument: coefficient identity => kernel membership
     for n in (1, 2, 3):
         coeffs = coefficient_sequence(n, 5)
-        if check_intertwining(n, 0, 5, coeffs):
+        if check_intertwining(coeffs):
             report = check_monogenic(build_phi(coeffs))
             assert all(r.monogenic for r in report.results)
 

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hyperappell.jsonwriter import write_json
 from hyperappell.rationals import (
     approximate,
-    binomial,
     double_factorial,
     parse_rational,
 )
@@ -46,19 +45,6 @@ def test_format_reduced():
 def test_parse_format_round_trip(p, q):
     value = Fraction(p, q)
     assert parse_rational(str(value)) == value
-
-
-def test_binomial_matches_comb():
-    for i in range(12):
-        for j in range(12):
-            assert binomial(i, j) == (comb(i, j) if j <= i else 0)
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_double_factorial_small_values():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperappell.trimatrix import (
+    FAMILIES,
     TRANSFER_FAMILIES,
     TriMatrix,
     appell_matrix,
@@ -233,7 +234,7 @@ def test_frobenius_euler_transfer_matches_dense_inverse(lam):
 
 
 def test_transfer_builders_reject_negative_order():
-    for family in TRANSFER_FAMILIES:
+    for family in FAMILIES:
         with pytest.raises(ValueError):
             transfer_matrix(family, -1, Fraction(2) if family == "frobenius-euler" else None)
     with pytest.raises(ValueError):
@@ -295,6 +296,16 @@ def test_transfer_column_is_column_0_of_the_reference(family, lam, m):
     assert column == [reference[i, 0] for i in range(m + 1)]
     assert all(type(v) is Fraction for v in column)
     assert list(appell_rows(column)) == reference.rows
+
+
+def test_canonical_column_is_the_identity():
+    # f = 1: the column (1, 0, ..., 0), empty for m < 0 as every family's
+    for m in range(6):
+        assert transfer_column("canonical", m) == [1] + [0] * m
+        assert transfer_matrix("canonical", m) == TriMatrix.identity(m)
+    assert transfer_column("canonical", -1) == []
+    for family in TRANSFER_FAMILIES:
+        assert transfer_column(family, -1, Fraction(2) if family == "frobenius-euler" else None) == []
 
 
 def test_transfer_matrix_is_the_reference_series():
