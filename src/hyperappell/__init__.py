@@ -19,6 +19,7 @@ from .appell import (
     exp_truncated,
     expand_multivariate,
     expand_sequence,
+    family_members,
     family_terms,
     restrict_poly,
     vector_power_expansion,
@@ -91,6 +92,7 @@ __all__ = [
     "exp_truncated",
     "expand_multivariate",
     "expand_sequence",
+    "family_members",
     "family_terms",
     "nilpotent_exp",
     "parse_rational",

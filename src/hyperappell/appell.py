@@ -20,15 +20,15 @@ creation matrix, D_c the diagonal of the c_j and xi(v) the column of vector
 powers; classical families (Bernoulli, Euler, Frobenius-Euler, Hermite)
 arise by applying their transfer matrices f(H) to the basic sequence.
 `transferred_terms` computes T phi term by term from the first column of
-T = f(H), so a caller that writes each term as it is drawn holds O(m^2)
-values, not the O(m^3) terms of the sequence.
+T = f(H), and `family_members` yields its members one at a time: a caller
+that uses each as it is drawn holds O(m^2) values, not the O(m^3) terms.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -200,12 +200,16 @@ def member_text(terms) -> str:
 
 
 class AppellSequence:
-    """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n and s live in coeffs."""
+    """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n, s and m live in coeffs.
+
+    `polys` is any iterable of the members in degree order, such as a list or
+    `family_members`; `certify` and `eval_at` each draw it once.
+    """
 
     def __init__(
         self,
         family: str,
-        polys: list[AppellPoly],
+        polys: Iterable[AppellPoly],
         coeffs: CoeffSequence,
         lam: Fraction | None = None,
     ):
@@ -237,7 +241,7 @@ class AppellSequence:
 
     @property
     def m(self) -> int:
-        return len(self.polys) - 1
+        return self.coeffs.m
 
     def eval_at(self, x: Paravector) -> list[Multivector]:
         if x.n != self.n:
@@ -350,19 +354,17 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
         yield ((key, t * a) for l, t in enumerate(row) if t for key, a in phi[l])
 
 
-def _members(terms) -> list[AppellPoly]:
-    """The members of `transferred_terms`, materialized."""
-    polys = []
-    for k, member in enumerate(terms):
+def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:
+    """The members of `transferred_terms(column, coeffs)`, each drawn as an AppellPoly."""
+    for k, member in enumerate(transferred_terms(column, coeffs)):
         poly = AppellPoly(k)
         poly.terms = dict(member)
-        polys.append(poly)
-    return polys
+        yield poly
 
 
 def build_phi(coeffs: CoeffSequence) -> AppellSequence:
     """Basic sequence phi_k = sum_j C(k,j) c_j x0^(k-j) v^j for k = 0..coeffs.m."""
-    polys = _members(transferred_terms(transfer_column("canonical", coeffs.m), coeffs))
+    polys = list(family_members(transfer_column("canonical", coeffs.m), coeffs))
     return AppellSequence(family="canonical", polys=polys, coeffs=coeffs)
 
 
@@ -376,10 +378,10 @@ def family_terms(
 ):
     """(family, coeffs, lam, column) of a named sequence, with the series column t_0..t_m.
 
-    The members are `transferred_terms(column, coeffs)`, drawn lazily as
-    often as a caller needs.  The header rules are `check_header`'s, the
-    same a loaded file passes.  Every check runs here, before the first
-    member is drawn.
+    The members are `transferred_terms` or `family_members` of (column,
+    coeffs), drawn lazily as often as a caller needs.  The header rules
+    are `check_header`'s, the same a loaded file passes.  Every check runs
+    here, before the first member is drawn.
     """
     check_header(family, lam, shift)
     coeffs = coefficient_sequence(n, m, c0=c0, shift=shift)
@@ -401,7 +403,7 @@ def build_family(
     members is the reference for T phi.
     """
     family, coeffs, lam, column = family_terms(n, m, family, c0, lam, shift)
-    return AppellSequence(family, _members(transferred_terms(column, coeffs)), coeffs, lam)
+    return AppellSequence(family, list(family_members(column, coeffs)), coeffs, lam)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -23,23 +23,24 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from itertools import accumulate, chain
 
 from .appell import (
     FAMILIES,
     AppellSequence,
-    build_family,
     exp_truncated,
+    family_members,
     family_terms,
     member_text,
     sequence_json,
     transferred_terms,
 )
-from .clifford import Multivector, Paravector
+from .clifford import Multivector, Paravector, mask_to_indices
 from .operators import VerifyReport, certify
 from .jsonwriter import write_json
-from .rationals import approximate, parse_rational, read_rational
+from .rationals import approximate, read_rational
 from .trimatrix import (
     TRANSFER_FAMILIES,
     appell_rows,
@@ -57,6 +58,9 @@ BUILD_FLAGS = {"family": "--family", "lam": "--lambda", "c0": "--c0", "shift": "
 NEGATIVE_VALUE = re.compile(r"-\d")
 # The most terms (of a sequence) or entries (of a matrix) a command may build.
 SIZE_BUDGET = 10**6
+# The most bytes an --input file may hold: 300 per term, as `gen --n 3 --m 1412`, the largest
+# canonical file within SIZE_BUDGET, spends about 280; json.load holds about 3.5x the file.
+INPUT_BUDGET = 300 * SIZE_BUDGET
 
 
 def _check_size(flag: str, value: int, estimate: int, unit: str) -> None:
@@ -77,14 +81,18 @@ def _check_digits(column, coeffs) -> None:
     with i <= m-k+l, and den a <= max den t * max den c; as t_0 = 1, that
     covers each c_j too.  O(m) integer work.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython < 3.10.7 has none
-    if not (limit and column):  # 0 is no limit; an empty column (m < 0) is refused later
+    if not column:  # an empty column (m < 0) is refused later
         return
     m = len(column) - 1
     best = list(accumulate((math.comb(m, i) * abs(c.numerator) for i, c in enumerate(coeffs)), max))
     num = max(math.comb(m, d) * abs(t.numerator) * best[m - d] for d, t in enumerate(column))
-    bound = max(num, max(t.denominator for t in column) * max(c.denominator for c in coeffs))
-    if bound >= 10**limit:
+    _check_bound(max(num, max(t.denominator for t in column) * max(c.denominator for c in coeffs)))
+
+
+def _check_bound(bound: int) -> None:
+    """Refuse, before the first byte, output whose numbers may reach `bound` past the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython < 3.10.7 has none
+    if limit and bound >= 10**limit:  # 0 is no limit
         raise ValueError(
             f"the output would hold numbers of about {int(math.log10(bound)) + 1} digits,"
             f" more than the limit of {limit} digits for int to str conversion"
@@ -107,13 +115,13 @@ def _parse_point(text: str, n: int) -> Paravector:
 
 
 def _csv(header: list[str], rows, with_float: bool):
-    """CSV lines of the rows `rows()` yields, as they are drawn; the last column is exact.
+    """CSV lines of the rows `rows()` yields, as they are drawn; the last column is the exact value.
 
     --float appends it as "approx", all computed first: a value beyond double range exits 2.
     """
     drawn = rows()
     if with_float:
-        approx = [approximate(parse_rational(row[-1]), "--float") for row in drawn]
+        approx = [approximate(row[-1], "--float") for row in drawn]
         header, drawn = header + ["approx"], ([*row, a] for row, a in zip(rows(), approx))
     # no field holds a comma, a quote or a line break, so none needs quoting
     return (",".join(map(str, row)) + "\n" for part in ([header], drawn) for row in part)
@@ -143,11 +151,11 @@ def _mv_json(mv: Multivector, with_float: bool) -> dict:
     return payload
 
 
-def _mv_rows(mv: Multivector) -> list[list[str]]:
+def _mv_rows(mv: Multivector) -> list[list]:
     """One (blade label, exact coefficient) CSV row per term."""
     return [
-        ["e" + "".join(map(str, term["blade"])) if term["blade"] else "1", term["coeff"]]
-        for term in mv.to_json()["terms"]
+        ["e" + "".join(map(str, mask_to_indices(mask))) if mask else "1", coeff]
+        for mask, coeff in mv.sorted_terms()
     ]
 
 
@@ -172,7 +180,8 @@ def _build_flags(args) -> dict:
 
 def _load_sequence(args) -> AppellSequence:
     if args.input is None:
-        return build_family(**_build_flags(args))
+        family, coeffs, lam, column = family_terms(**_build_flags(args))
+        return AppellSequence(family, family_members(column, coeffs), coeffs, lam)
     if args.n is not None or args.m is not None:
         raise ValueError("--input replaces --n/--m; give one or the other")
     for key, flag in BUILD_FLAGS.items():
@@ -180,13 +189,22 @@ def _load_sequence(args) -> AppellSequence:
             raise ValueError(f"{flag} does not apply to --input: the file fixes the sequence")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            return AppellSequence.from_json(json.load(fh))
+            info = os.fstat(fh.fileno())
+            size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+            # a regular file is read whole once its size passes (read(n) would copy the text);
+            # a pipe, whose size fstat cannot tell, up to one character past the budget
+            text = "" if size > INPUT_BUDGET else fh.read(-1 if size else INPUT_BUDGET + 1)
+        if max(size, len(text)) <= INPUT_BUDGET:
+            payload, text = json.loads(text), None  # the text goes before the terms are loaded
+            return AppellSequence.from_json(payload)
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}")
     except RecursionError:
         raise ValueError(f"{args.input} is not a valid sequence file: nested too deeply")
     except ValueError as exc:
         raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
+    held = f"{size} bytes, more than" if size > INPUT_BUDGET else "more than"
+    raise ValueError(f"{args.input} holds {held} the --input budget of {INPUT_BUDGET} bytes")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -200,7 +218,7 @@ def cmd_gen(args) -> int:
         if args.float:
             out["coeffs_approx"] = [approximate(c, "--float") for c in coeffs.values]
     elif args.format == "csv":
-        rows = lambda: ((k, i, j, str(a))
+        rows = lambda: ((k, i, j, a)
                         for k, member in enumerate(transferred_terms(column, coeffs))
                         for (i, j), a in member)
         out = _csv(["k", "i", "j", "a"], rows, args.float)
@@ -260,7 +278,8 @@ def cmd_eval(args) -> int:
         }
     elif args.format == "csv":
         rows = [[k, *row] for k, mv in enumerate(values) for row in _mv_rows(mv)]
-        out = _csv(["k", "blade", "coeff"], lambda: rows, args.float)
+        # formatted whole, so a value past the digit limit exits 2 before the first byte
+        out = list(_csv(["k", "blade", "coeff"], lambda: rows, args.float))
     else:
         lines = [f"phi_{k}(x) = {mv}" for k, mv in enumerate(values)]
         out = "\n".join(lines) + "\n"
@@ -286,6 +305,8 @@ def _matrix_rows(args):
         if args.n is None:
             raise ValueError("--tilde needs --n")
         rows = derivation_matrix(args.n, args.m, shift=args.shift).rows
+        odd = args.m - 1 + args.m % 2  # the last odd row holds the largest entry, n + i + 2s - 1
+        _check_bound(args.n + odd + 2 * args.shift - 1 if odd > 0 else 0)
         return lambda: iter(rows)
     if args.shift:
         raise ValueError("--shift only applies to --tilde")
@@ -313,8 +334,7 @@ def cmd_matrices(args) -> int:
                 [approximate(v, "--float") for v in row] for row in matrix_rows()
             ]
     elif args.format == "csv":
-        rows = lambda: ((i, j, str(v)) for i, row in enumerate(matrix_rows())
-                        for j, v in enumerate(row))
+        rows = lambda: ((i, j, v) for i, row in enumerate(matrix_rows()) for j, v in enumerate(row))
         out = _csv(["i", "j", "value"], rows, args.float)
     else:
         # a first pass takes the column width, so every str is computed before the first byte
@@ -338,7 +358,7 @@ def cmd_exp(args) -> int:
             "value": _mv_json(value, args.float),
         }
     elif args.format == "csv":
-        out = _csv(["blade", "coeff"], lambda: _mv_rows(value), args.float)
+        out = list(_csv(["blade", "coeff"], lambda: _mv_rows(value), args.float))  # as in eval
     else:
         out = f"Exp_{args.n}(x) truncated at {args.order}: {value}\n"
     _emit(out, args.output)

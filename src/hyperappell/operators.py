@@ -7,13 +7,14 @@ The generalized Cauchy-Riemann operator and its conjugate are
 with Dv = sum_k e_k d/dx_k the vector derivative.  A polynomial is
 monogenic when D annihilates it, and a monogenic sequence is Appell when
 D* acts as degree lowering: D* p_k = k p_{k-1}.  certify decides both
-exactly on the binary form sum a_ij x0^i v^j, first by structure: in
-degree l the kernel of D is spanned by phi_l, so p_k is monogenic exactly
-when each homogeneous part is alpha_(k,l) phi_l, and as D* phi_l =
-l phi_(l-1), the ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That
-costs one integer comparison per term.  Only a degree where p_k or p_(k-1)
-is no such sum, or the alphas disagree, forms the two binary residuals,
-with Dv v^j = Ht[j, j-1] v^(j-1), at a few rational operations per term:
+exactly on the binary form sum a_ij x0^i v^j, in one pass over the members
+that holds only p_k and p_(k-1), first by structure: in degree l the
+kernel of D is spanned by phi_l, so p_k is monogenic exactly when each
+homogeneous part is alpha_(k,l) phi_l, and as D* phi_l = l phi_(l-1), the
+ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That costs one integer
+comparison per term.  Only a degree where p_k or p_(k-1) is no such sum,
+or the alphas disagree, forms the two binary residuals, with
+Dv v^j = Ht[j, j-1] v^(j-1), at a few rational operations per term:
 distinct x0^i v^j share no expanded monomial, so a zero binary residual
 is an exact zero, and a nonzero one gives the witness.  check_monogenic and
 check_appell, the reference route, expand members into multivariate
@@ -246,16 +247,13 @@ def _multiples(poly: AppellPoly, k: int, phi: list[list[tuple[int, int]]]):
     return alphas if count == len(terms) else None
 
 
-def _passes_by_structure(k: int, alphas: list[list[Fraction] | None]) -> bool:
+def _passes_by_structure(k: int, a: list[Fraction] | None, prev: list[Fraction] | None) -> bool:
     """p_k and p_(k-1) are sums of multiples and l alpha_(k,l) = k alpha_(k-1,l-1), l = 1..k.
 
-    The alphas are compared cross-multiplied, in integers, as in `_multiples`.
+    `a` and `prev`, their alphas, are compared cross-multiplied, in integers, as in `_multiples`;
+    at k = 0, `prev` is [], the alphas of p_(-1) = 0.
     """
-    a = alphas[k]
-    if a is None or k == 0:
-        return a is not None
-    prev = alphas[k - 1]
-    return prev is not None and all(
+    return a is not None and prev is not None and all(
         l * x.numerator * y.denominator == k * y.numerator * x.denominator
         for l, x, y in zip(range(1, k + 1), a[1:], prev)
     )
@@ -277,23 +275,20 @@ def certify(seq: AppellSequence) -> VerifyReport:
     if seq.shift == 0:
         # c from n, not seq.coeffs: monogenicity is a property of the polynomials alone
         phi = _phi_table(seq.n, seq.m)
-        alphas = [_multiples(poly, k, phi) for k, poly in enumerate(seq.polys)]
+        prev, prev_alphas = None, []
         for k, poly in enumerate(seq.polys):
-            if _passes_by_structure(k, alphas):
+            if k > seq.m:
+                raise ValueError(f"member {k} is past the degree m = {seq.m} of the coefficients")
+            alphas = _multiples(poly, k, phi)
+            if _passes_by_structure(k, alphas, prev_alphas):
                 results.append(DegreeCheck(k, True, True))
-                continue
-            monogenic = _binary_cr(poly, seq.n, 1)
-            ladder = AppellPoly(0)  # degree 0 holds vacuously, as in check_appell
-            if k:
-                ladder = _binary_cr(poly, seq.n, -1) + seq.polys[k - 1] * -k
-            # the first nonzero residual gives the witness: monogenic before ladder
-            failed = next((r for r in (monogenic, ladder) if not r.is_zero()), None)
-            witness = None if failed is None else _binary_witness(failed, seq.n)
-            results.append(DegreeCheck(k, monogenic.is_zero(), ladder.is_zero(), witness))
-    return VerifyReport(
-        n=seq.n,
-        family=seq.family,
-        results=results,
-        intertwining=intertwining,
-        shift=seq.shift,
-    )
+            else:
+                monogenic = _binary_cr(poly, seq.n, 1)
+                # degree 0 holds vacuously, as in check_appell
+                ladder = _binary_cr(poly, seq.n, -1) + prev * -k if k else AppellPoly(0)
+                # the first nonzero residual gives the witness: monogenic before ladder
+                failed = next((r for r in (monogenic, ladder) if not r.is_zero()), None)
+                witness = None if failed is None else _binary_witness(failed, seq.n)
+                results.append(DegreeCheck(k, monogenic.is_zero(), ladder.is_zero(), witness))
+            prev, prev_alphas = poly, alphas
+    return VerifyReport(seq.n, seq.family, results, intertwining, seq.shift)

@@ -18,6 +18,7 @@ from hyperappell.appell import (
     eval_poly,
     exp_truncated,
     expand_multivariate,
+    family_members,
     family_terms,
     restrict_poly,
     transferred_terms,
@@ -405,6 +406,7 @@ def test_streamed_members_are_the_reference_transfer_of_phi(family, lam, shift, 
         assert header[3] == transfer_column(family, m, lam)
         members = transferred_terms(header[3], coeffs)
         assert [list(member) for member in members] == [p.sorted_terms() for p in reference]
+        assert list(family_members(header[3], coeffs)) == reference
         seq = build_family(n, m, family, c0=c0, lam=lam, shift=shift)
         assert seq.polys == reference
         assert [p.degree for p in seq.polys] == list(range(m + 1))

@@ -17,13 +17,16 @@ from hypothesis import strategies as st
 
 from hyperappell import (
     FAMILIES,
+    Paravector,
     TriMatrix,
     appell,
     build_family,
     build_phi,
+    certify,
     cli,
     coefficient_sequence,
     creation_matrix,
+    derivation_matrix,
     pascal_matrix,
     transfer_matrix,
 )
@@ -252,6 +255,40 @@ def test_verify_garbage_input(tmp_path):
     path.write_text("{not json")
     proc = run_cli("verify", "--input", str(path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3")])
+def test_input_past_the_byte_budget_exits_2_before_it_is_parsed(tmp_path, monkeypatch, command):
+    # json.load holds a file several times over, so its size is refused first: by fstat for a
+    # regular file, and for a pipe by reading at most one character past the budget
+    path = tmp_path / "seq.json"
+    assert run_main(["gen", "--n", "2", "--m", "3", "--output", str(path)])[0] == 0
+    size = path.stat().st_size
+
+    def run_piped():
+        read, write = os.pipe()
+        os.write(write, path.read_bytes())  # a file this small fits in the pipe's buffer
+        os.close(write)
+        try:
+            return run_main([*command, "--input", f"/dev/fd/{read}"]), f"/dev/fd/{read}"
+        finally:
+            os.close(read)
+
+    monkeypatch.setattr(cli, "INPUT_BUDGET", size)
+    loaded = run_main([*command, "--input", str(path)])
+    assert loaded[0] == 0 and run_piped()[0] == loaded
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file past the budget must not be parsed")
+
+    monkeypatch.setattr(cli, "INPUT_BUDGET", size - 1)
+    monkeypatch.setattr(json, "loads", refuse)
+    budget = f"the --input budget of {size - 1} bytes\n"
+    assert run_main([*command, "--input", str(path)]) == (
+        2, "", f"error: {path} holds {size} bytes, more than {budget}"
+    )
+    piped, name = run_piped()
+    assert piped == (2, "", f"error: {name} holds more than {budget}")
 
 
 def _set_family(payload):
@@ -787,9 +824,9 @@ def test_streamed_pretty_is_the_built_text_one_write_per_line(family, lam, m):
         assert out.writes == len(pieces)
 
 
-def gen_peak_bytes(m: int, fmt: str = "json") -> int:
-    """tracemalloc peak of one in-process gen at order m, its output sent to devnull."""
-    argv = ["gen", "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
+def cli_peak_bytes(m: int, fmt: str = "json", command=("gen",)) -> int:
+    """tracemalloc peak of one in-process command at order m, its output sent to devnull."""
+    argv = [*command, "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
     argv += ["--format", fmt]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
@@ -803,23 +840,52 @@ def gen_peak_bytes(m: int, fmt: str = "json") -> int:
 def test_gen_memory_grows_as_m_squared():
     # gen holds phi's O(m^2) terms and one row of T, never the O(m^3) terms of T phi:
     # doubling m should about quadruple the peak, where holding the sequence gives about 8
-    gen_peak_bytes(2)  # one-time allocations of a first run
-    small, large = gen_peak_bytes(24), gen_peak_bytes(48)
+    cli_peak_bytes(2)  # one-time allocations of a first run
+    small, large = cli_peak_bytes(24), cli_peak_bytes(48)
     assert large / small < 4, (small, large)
 
 
 def test_gen_csv_memory_grows_as_m_squared():
     # CSV rows are written as they are drawn, like JSON terms
-    gen_peak_bytes(2, "csv")
-    small, large = gen_peak_bytes(24, "csv"), gen_peak_bytes(48, "csv")
+    cli_peak_bytes(2, "csv")
+    small, large = cli_peak_bytes(24, "csv"), cli_peak_bytes(48, "csv")
     assert large / small < 4, (small, large)
 
 
 def test_gen_pretty_memory_grows_as_m_squared():
     # pretty members are formatted and written one at a time, like JSON terms
-    gen_peak_bytes(2, "pretty")
-    small, large = gen_peak_bytes(24, "pretty"), gen_peak_bytes(48, "pretty")
+    cli_peak_bytes(2, "pretty")
+    small, large = cli_peak_bytes(24, "pretty"), cli_peak_bytes(48, "pretty")
     assert large / small < 4, (small, large)
+
+
+@pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3,4")])
+def test_verify_and_eval_memory_grows_as_m_squared(command):
+    # certify and eval_at take each member as it is drawn from the series column and drop it:
+    # doubling m about quadruples the peak (phi and one member), holding the sequence about 7x
+    cli_peak_bytes(2, command=command)
+    small, large = cli_peak_bytes(24, command=command), cli_peak_bytes(48, command=command)
+    assert large / small < 5, (small, large)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_and_eval_from_flags_build_no_sequence(monkeypatch, family):
+    # like gen, both draw the members from the series column; build_family is the reference
+    lam = Fraction(-4, 7) if family == "frobenius-euler" else None
+    point = Paravector(Fraction(1, 2), (Fraction(-1), Fraction(2), Fraction(1, 3)))
+    built = [build_family(3, m, family, lam=lam) for m in (0, 5, 12)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_family holds every member; the CLI must not call it")
+
+    monkeypatch.setattr(appell, "build_family", refuse)
+    monkeypatch.setattr(cli, "build_family", refuse, raising=False)
+    for seq in built:
+        flags = ["--n", "3", "--m", str(seq.m), "--family", family, *lambda_flags(lam)]
+        assert run_main(["verify", *flags]) == (0, json_text(certify(seq).to_json()), "")
+        values = [{"k": k, "value": mv.to_json()} for k, mv in enumerate(seq.eval_at(point))]
+        status, out, err = run_main(["eval", *flags, "--point", "1/2,-1,2,1/3"])
+        assert (status, err, json.loads(out)["values"]) == (0, "", values)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -909,7 +975,8 @@ def test_numbers_past_the_digit_limit_exit_2_before_the_first_byte(digit_limit):
     digit_limit(4300)
     e60 = 10**60
     for args in (["matrices", "--m", "72", f"--pascal={e60}"],
-                 ["gen", "--n", "2", "--m", "40", f"--c0={10**4290}"]):
+                 ["gen", "--n", "2", "--m", "40", f"--c0={10**4290}"],
+                 ["matrices", "--m", "3", "--tilde", "--n", "1", f"--shift={5 * 10**4299}"]):
         for fmt in ("json", "csv", "pretty"):
             status, out, err = run_main([*args, "--format", fmt])
             assert (status, out) == (2, "")
@@ -935,6 +1002,9 @@ DIGIT_CASES = {
                lambda m: gen_values(build_family(2, m, "frobenius-euler", lam=LAM_60))),
     "gen-c0": (["gen", "--n", "2", f"--c0={10**635}"],
                lambda m: gen_values(build_family(2, m, c0=10**635))),
+    # entry (i, i-1) for odd i is n + i + 2s - 1 = 10^640 - 12 + i in size: past from m = 13
+    "tilde": (["matrices", "--tilde", "--n", "1", f"--shift={5 * 10**639 - 6}"],
+              lambda m: [v for row in derivation_matrix(1, m, 5 * 10**639 - 6).rows for v in row]),
 }
 
 

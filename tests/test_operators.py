@@ -191,10 +191,10 @@ def random_rational(rng):
     return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 6))
 
 
-def corrupted(seq, rng, insert):
-    """Copy of seq with one term perturbed, or one off-pattern (i, j) term added."""
+def corrupted(seq, rng, insert, k=None):
+    """Copy of seq with one term of member k (random if None) perturbed, or one (i, j) added."""
     polys = list(seq.polys)
-    k = rng.randrange(len(polys))
+    k = rng.randrange(len(polys)) if k is None else k
     terms = dict(polys[k].terms)
     if insert:
         free = [(i, d - i) for d in range(k + 2) for i in range(d + 1) if (i, d - i) not in terms]
@@ -229,6 +229,35 @@ def family_lam(family):
     return Fraction(-4, 7) if family == "frobenius-euler" else None
 
 
+def test_certify_of_members_drawn_once_is_certify_of_the_list():
+    # verify from flags hands certify the members as they are drawn: one pass over an
+    # iterator must report what the list gives, intact and with one term corrupted at each
+    # degree, witnesses included
+    rng = random.Random(53)
+    failures = 0
+    for family in FAMILIES:
+        for n in range(1, 5):
+            for m in range(13):
+                seq = build_family(n, m, family=family, lam=family_lam(family))
+                cases = [corrupted(seq, rng, insert, k) for k in range(m + 1) for insert in (0, 1)]
+                for case in [seq, *cases]:
+                    report = certify(case).to_json()
+                    drawn = AppellSequence(case.family, iter(case.polys), case.coeffs, case.lam)
+                    assert certify(drawn).to_json() == report, (family, n, m)
+                    failures += not report["ok"]
+    # nearly every corruption fails, so the residual fallback and its witnesses are compared
+    assert failures > 3500, failures
+
+
+def test_certify_refuses_a_member_past_the_coefficients():
+    # m comes from the coefficients; a surplus member is a ValueError, not an IndexError
+    coeffs = coefficient_sequence(2, 3)
+    polys = build_family(2, 4).polys
+    for members in (polys, iter(polys)):
+        with pytest.raises(ValueError, match="member 4 is past the degree m = 3"):
+            certify(AppellSequence("canonical", members, coeffs))
+
+
 def structure_decisions(seq):
     """Per degree, (monogenic, ladder) by structure; ladder None where it is left to residuals."""
     phi = operators._phi_table(seq.n, seq.m)
@@ -239,7 +268,7 @@ def structure_decisions(seq):
         if k == 0:
             ladder = True
         elif alphas[k] is not None and alphas[k - 1] is not None:
-            ladder = operators._passes_by_structure(k, alphas)
+            ladder = operators._passes_by_structure(k, alphas[k], alphas[k - 1])
         rows.append((alphas[k] is not None, ladder))
     return rows
 
