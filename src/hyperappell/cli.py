@@ -25,6 +25,7 @@ import os
 import re
 import stat
 import sys
+from fractions import Fraction
 from itertools import accumulate, chain
 
 from .appell import (
@@ -45,10 +46,10 @@ from .trimatrix import (
     TRANSFER_FAMILIES,
     appell_rows,
     check_dimension,
-    creation_matrix,
-    derivation_matrix,
+    derivation_entry,
     matrix_json,
     pascal_column,
+    subdiagonal_rows,
     transfer_column,
 )
 
@@ -187,6 +188,20 @@ def _load_sequence(args) -> AppellSequence:
     for key, flag in BUILD_FLAGS.items():
         if getattr(args, key) is not None:
             raise ValueError(f"{flag} does not apply to --input: the file fixes the sequence")
+    terms = 0
+
+    def count_term(obj: dict) -> dict:
+        # json.loads makes an object after those it holds: a member whose first term was counted
+        # is free, so the parse makes at most 2 * SIZE_BUDGET + 2 objects
+        nonlocal terms
+        held = obj.get("terms")
+        first = held[0] if type(held) is list and held else None
+        if type(first) is not dict or "terms" in first:
+            terms += 1
+            if terms > SIZE_BUDGET:
+                raise ValueError
+        return obj
+
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             info = os.fstat(fh.fileno())
@@ -195,14 +210,17 @@ def _load_sequence(args) -> AppellSequence:
             # a pipe, whose size fstat cannot tell, up to one character past the budget
             text = "" if size > INPUT_BUDGET else fh.read(-1 if size else INPUT_BUDGET + 1)
         if max(size, len(text)) <= INPUT_BUDGET:
-            payload, text = json.loads(text), None  # the text goes before the terms are loaded
+            # the text goes before the terms are loaded
+            payload, text = json.loads(text, object_hook=count_term), None
             return AppellSequence.from_json(payload)
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}")
     except RecursionError:
         raise ValueError(f"{args.input} is not a valid sequence file: nested too deeply")
     except ValueError as exc:
-        raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
+        if terms <= SIZE_BUDGET:
+            raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
+        raise ValueError(f"{args.input} holds more than the budget of {SIZE_BUDGET} terms")
     held = f"{size} bytes, more than" if size > INPUT_BUDGET else "more than"
     raise ValueError(f"{args.input} holds {held} the --input budget of {INPUT_BUDGET} bytes")
 
@@ -290,8 +308,8 @@ def cmd_eval(args) -> int:
 def _matrix_rows(args):
     """A function that yields the chosen matrix's rows afresh on each call.
 
-    Pascal and transfer matrices keep only their O(m) column and build
-    each row when it is drawn; H and the derivation matrix are sparse.
+    Every matrix keeps only its O(m) rule and builds each row when it is drawn:
+    Pascal and transfer matrices their column, H and the derivation matrix their subdiagonal.
     """
     _check_size("--m", args.m, _triangle(args.m), "entries")
     given = (("--tilde", args.tilde), ("--pascal", args.pascal is not None),
@@ -304,10 +322,10 @@ def _matrix_rows(args):
     if args.tilde:
         if args.n is None:
             raise ValueError("--tilde needs --n")
-        rows = derivation_matrix(args.n, args.m, shift=args.shift).rows
-        odd = args.m - 1 + args.m % 2  # the last odd row holds the largest entry, n + i + 2s - 1
-        _check_bound(args.n + odd + 2 * args.shift - 1 if odd > 0 else 0)
-        return lambda: iter(rows)
+        check_dimension(args.n, args.shift)
+        entry = lambda i: derivation_entry(args.n, i, args.shift)  # the largest at the last odd i
+        _check_bound(-entry(args.m - 1 + args.m % 2).numerator if args.m > 0 else 0)
+        return lambda: subdiagonal_rows(args.m, entry)
     if args.shift:
         raise ValueError("--shift only applies to --tilde")
     if args.n is not None:
@@ -318,8 +336,7 @@ def _matrix_rows(args):
         lam = None if args.lam is None else read_rational(args.lam, "--lambda")
         column = transfer_column(args.family, args.m, lam)
     else:
-        rows = creation_matrix(args.m).rows
-        return lambda: iter(rows)
+        return lambda: subdiagonal_rows(args.m, Fraction)
     _check_digits(column, transfer_column("canonical", args.m))
     # appell_rows refuses an empty column (m < 0) when called, before the first byte
     return lambda: appell_rows(column)

@@ -11,11 +11,11 @@ H^k has the single nonzero diagonal i!/j! at i - j = k, so f(H) for a power
 series f is the Appell matrix T[i][j] = C(i, j) t_(i-j), where t_k = k! times
 the coefficient of z^k in f: the whole matrix is fixed by its first column.
 `transfer_column` computes that column in O(m^2) for each name in FAMILIES,
-the one family dispatch (canonical is f = 1, the identity), and
-`appell_rows` yields the rows from it one at a time, so a caller that
-consumes a row before drawing the next never holds the O(m^2) entries at
-once.  Each Pascal and transfer matrix is f(H) for one series;
-`appell_matrix` materializes the rows of its column:
+the one family dispatch (canonical is f = 1, the identity).  `appell_rows`
+draws the rows from it one at a time, and `subdiagonal_rows` those of H
+and of the derivation matrices from their one subdiagonal, so a caller that
+consumes a row before drawing the next never holds O(m^2) entries.  Each
+Pascal and transfer matrix is f(H) for one series (`appell_matrix`):
 
     canonical           1
     Pascal P(x0)        exp(x0 z)
@@ -218,12 +218,7 @@ def creation_matrix(m: int) -> TriMatrix:
     differentiation, and its terminating exponential generates the Pascal
     matrices.
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    matrix = TriMatrix.zeros(m)
-    for i in range(1, m + 1):
-        matrix.rows[i][i - 1] = Fraction(i)
-    return matrix
+    return TriMatrix._of_rows(list(subdiagonal_rows(m, Fraction)))
 
 
 def check_dimension(n: int, shift: int = 0) -> None:
@@ -237,28 +232,33 @@ def check_dimension(n: int, shift: int = 0) -> None:
 def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
     """Matrix of the vector derivative acting on powers of the vector variable.
 
-    Entry (i, i-1) is -(n + i + 2*shift - 1) when i-1 is even and -i when
-    i-1 is odd; all other entries vanish.  With shift = 0 this encodes the
-    identity (vector derivative of v^k) = -k v^(k-1) for even k and
-    -(n+k-1) v^(k-1) for odd k; shift > 0 is the variant for sequences that
-    carry a fixed monogenic polynomial factor of degree `shift`.
-    In the complex case n = 1, shift = 0 the result is minus the creation
-    matrix.
+    Its one nonzero diagonal is `derivation_entry` at (i, i-1); n = 1, shift = 0 gives -H.
     """
     check_dimension(n, shift)
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    matrix = TriMatrix.zeros(m)
-    for i in range(1, m + 1):
-        matrix.rows[i][i - 1] = derivation_entry(n, i, shift)
-    return matrix
+    return TriMatrix._of_rows(list(subdiagonal_rows(m, lambda i: derivation_entry(n, i, shift))))
 
 
 def derivation_entry(n: int, i: int, shift: int = 0) -> Fraction:
-    """Entry (i, i-1) of the derivation matrix, for any row i >= 1."""
+    """Entry (i, i-1) of the derivation matrix, for any row i >= 1.
+
+    -(n + i + 2*shift - 1) for odd i and -i for even i.  With shift = 0 this
+    encodes the identity (vector derivative of v^k) = -k v^(k-1) for even k
+    and -(n+k-1) v^(k-1) for odd k; shift > 0 is the variant for sequences
+    that carry a fixed monogenic polynomial factor of degree `shift`.
+    """
     if i % 2:
         return Fraction(-(n + i + 2 * shift - 1))
     return Fraction(-i)
+
+
+def subdiagonal_rows(m: int, entry) -> Iterator[list[Fraction]]:
+    """The rows of the order-m matrix whose only nonzero entries are entry(i) at (i, i-1).
+
+    A negative order is refused at the call, before the first row is drawn.
+    """
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    return ([ZERO] * (i - 1) + [entry(i), ZERO] if i else [ZERO] for i in range(m + 1))
 
 
 def nilpotent_exp(matrix: TriMatrix, t: Fraction) -> TriMatrix:

@@ -291,6 +291,31 @@ def test_input_past_the_byte_budget_exits_2_before_it_is_parsed(tmp_path, monkey
     assert piped == (2, "", f"error: {name} holds more than {budget}")
 
 
+@pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3")])
+def test_input_past_the_term_budget_exits_2_while_it_is_parsed(tmp_path, monkeypatch, command):
+    # the byte budget bounds the text, not the objects json.loads makes of it: the parse counts
+    # the terms and the file's top object, not the members, so a gen file of SIZE_BUDGET - 1 terms
+    # loads; a member holding no term counts, so members cannot be piled up for free instead
+    path = tmp_path / "seq.json"
+    gen = ["gen", "--n", "2", "--m", "3", "--family", "euler", "--output", str(path)]
+    assert run_main(gen)[0] == 0
+    payload = json.loads(path.read_text())
+    terms = sum(len(member["terms"]) for member in payload["polys"])
+    monkeypatch.setattr(cli, "SIZE_BUDGET", terms + 1)
+    assert run_main([*command, "--input", str(path)])[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file past the budget must not be loaded")
+
+    monkeypatch.setattr(appell.AppellSequence, "from_json", refuse)
+    monkeypatch.setattr(cli, "SIZE_BUDGET", terms)
+    expected = (2, "", f"error: {path} holds more than the budget of {terms} terms\n")
+    assert run_main([*command, "--input", str(path)]) == expected
+    for members in ([{"k": 0, "terms": []}], [{"k": 0, "terms": [{"k": 0, "terms": [{}]}]}]):
+        path.write_text(json.dumps({**payload, "polys": members * terms}))
+        assert run_main([*command, "--input", str(path)]) == expected
+
+
 def _set_family(payload):
     payload["family"] = "nonsense"
 
@@ -731,14 +756,30 @@ def test_streamed_gen_is_json_dumps_of_the_built_sequence(family, lam, c0, shift
     assert run_main(argv) == (0, json_text(seq.to_json()), "")
 
 
-@pytest.mark.parametrize("m", STREAM_ORDERS)
-@pytest.mark.parametrize("family, lam", COLUMN_CASES)
-def test_streamed_matrix_is_json_dumps_of_the_built_matrix(family, lam, m):
+# The derivation matrix at n 1..3 and s 0..2, as (family, lam) cases of built_matrix.
+TILDE_CASES = [
+    pytest.param("tilde", (n, s), id=f"tilde-n{n}-s{s}") for n in (1, 2, 3) for s in (0, 1, 2)
+]
+
+
+def built_matrix(family, lam, m):
+    """(matrix, matrices flags) of one case: Pascal at x0 = lam, H for canonical, the derivation
+    matrix at (n, s) = lam for tilde, or a transfer."""
     if family == "pascal":
-        argv, matrix = [f"--pascal={lam}"], pascal_matrix(lam, m)
-    else:
-        argv, matrix = ["--family", family, *lambda_flags(lam)], transfer_matrix(family, m, lam)
-    assert run_main(["matrices", "--m", str(m), *argv]) == (0, json_text(matrix.to_json()), "")
+        return pascal_matrix(lam, m), [f"--pascal={lam}"]
+    if family == "canonical":
+        return creation_matrix(m), []
+    if family == "tilde":
+        n, s = lam
+        return derivation_matrix(n, m, shift=s), ["--tilde", "--n", str(n), "--shift", str(s)]
+    return transfer_matrix(family, m, lam), ["--family", family, *lambda_flags(lam)]
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize("family, lam", [*COLUMN_CASES, ("canonical", None), *TILDE_CASES])
+def test_streamed_matrix_is_json_dumps_of_the_built_matrix(family, lam, m):
+    matrix, flags = built_matrix(family, lam, m)
+    assert run_main(["matrices", "--m", str(m), *flags]) == (0, json_text(matrix.to_json()), "")
 
 
 class CountingStdout(io.StringIO):
@@ -757,21 +798,12 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def built_matrix(family, lam, m):
-    """(matrix, matrices flags) of one case: Pascal at x0 = lam, H for canonical, or a transfer."""
-    if family == "pascal":
-        return pascal_matrix(lam, m), [f"--pascal={lam}"]
-    if family == "canonical":
-        return creation_matrix(m), []
-    return transfer_matrix(family, m, lam), ["--family", family, *lambda_flags(lam)]
-
-
 def built_tables(family, lam, m):
     """(argv, header, rows) of the CSV commands of one case, the rows from the built objects."""
     matrix, flags = built_matrix(family, lam, m)
     cells = [(i, j, str(v)) for i, row in enumerate(matrix.rows) for j, v in enumerate(row)]
     yield ["matrices", "--m", str(m), *flags], ["i", "j", "value"], cells
-    if family != "pascal":
+    if family in FAMILIES:
         n = 1 + m % 4
         seq = build_family(n, m, family, lam=lam)
         terms = [(k, i, j, str(a))
@@ -781,7 +813,7 @@ def built_tables(family, lam, m):
 
 @pytest.mark.parametrize("with_float", [False, True])
 @pytest.mark.parametrize("m", STREAM_ORDERS)
-@pytest.mark.parametrize("family, lam", COLUMN_CASES)
+@pytest.mark.parametrize("family, lam", [*COLUMN_CASES, ("canonical", None), *TILDE_CASES])
 def test_streamed_csv_is_the_built_table_one_write_per_row(family, lam, m, with_float):
     for argv, header, rows in built_tables(family, lam, m):
         if with_float:
@@ -803,7 +835,7 @@ def built_pretty(family, lam, m):
     yield ["matrices", "--m", str(m), *flags], [
         " ".join(c.rjust(width) for c in row) + "\n" for row in cells
     ]
-    if family != "pascal":
+    if family in FAMILIES:
         n = 1 + m % 4
         seq = build_family(n, m, family, lam=lam)
         head = f"family: {family}  n: {n}  m: {m}  s: 0\n"
@@ -814,7 +846,7 @@ def built_pretty(family, lam, m):
 
 
 @pytest.mark.parametrize("m", STREAM_ORDERS)
-@pytest.mark.parametrize("family, lam", [("canonical", None), *COLUMN_CASES])
+@pytest.mark.parametrize("family, lam", [("canonical", None), *COLUMN_CASES, *TILDE_CASES])
 def test_streamed_pretty_is_the_built_text_one_write_per_line(family, lam, m):
     for argv, pieces in built_pretty(family, lam, m):
         out = CountingStdout()
@@ -824,10 +856,8 @@ def test_streamed_pretty_is_the_built_text_one_write_per_line(family, lam, m):
         assert out.writes == len(pieces)
 
 
-def cli_peak_bytes(m: int, fmt: str = "json", command=("gen",)) -> int:
-    """tracemalloc peak of one in-process command at order m, its output sent to devnull."""
-    argv = [*command, "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
-    argv += ["--format", fmt]
+def peak_bytes(argv) -> int:
+    """tracemalloc peak of one in-process command, its output sent to devnull."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -835,6 +865,12 @@ def cli_peak_bytes(m: int, fmt: str = "json", command=("gen",)) -> int:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+def cli_peak_bytes(m: int, fmt: str = "json", command=("gen",)) -> int:
+    """peak_bytes of a command at n = 3 and order m, frobenius-euler at lambda = -4/7."""
+    argv = [*command, "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
+    return peak_bytes(argv + ["--format", fmt])
 
 
 def test_gen_memory_grows_as_m_squared():
@@ -868,6 +904,17 @@ def test_verify_and_eval_memory_grows_as_m_squared(command):
     assert large / small < 5, (small, large)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("flags", [[], ["--tilde", "--n", "3", "--shift", "2"]], ids=["H", "tilde"])
+def test_subdiagonal_matrices_memory_stays_flat_in_m(flags, fmt):
+    # H and the derivation matrix are drawn one row at a time from their subdiagonal: tripling m
+    # leaves the peak about the same (0.9-1.7x), where building the matrix first gives 4.6-6.2x
+    argv = lambda m: ["matrices", "--m", str(m), *flags, "--format", fmt]
+    peak_bytes(argv(2))  # one-time allocations of a first run
+    small, large = peak_bytes(argv(100)), peak_bytes(argv(300))
+    assert large / small < 2, (small, large)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_verify_and_eval_from_flags_build_no_sequence(monkeypatch, family):
     # like gen, both draw the members from the series column; build_family is the reference
@@ -891,7 +938,8 @@ def test_verify_and_eval_from_flags_build_no_sequence(monkeypatch, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, monkeypatch, family):
     # certify has one route per identity: the coefficient recurrence and the intertwining
-    # identity on its one nonzero diagonal; the matrices and the closed form are test references
+    # identity on its one nonzero diagonal; the matrices and the closed form are test references,
+    # and no other subcommand builds a matrix either
     counts = {"TriMatrix": 0, "closed_form_coefficient": 0}
 
     def counted(name, fn):
@@ -917,8 +965,21 @@ def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, monkeypatch, famil
             from_flags = run_main(["verify", *flags])
             assert from_flags[0] == 0 and json.loads(from_flags[1])["ok"] is True
             assert run_main(["verify", "--input", str(path)]) == from_flags
+    # no other command builds one either: every matrix is drawn row by row from its O(m) rule
+    point = ["--point", "1/2,-1,2,1/3,4"]
+    commands = [
+        ["eval", *flags, *point], ["eval", "--input", str(path), *point],
+        ["exp", "--n", "4", *point, "--order", "12"],
+        ["matrices", "--m", "12"], ["matrices", "--m", "12", "--tilde", "--n", "3", "--shift", "2"],
+        ["matrices", "--m", "12", "--pascal=-3/7"],
+    ]
+    if family != "canonical":
+        commands.append(["matrices", "--m", "12", "--family", family, *lambda_flags(lam)])
+    for argv in commands:
+        for fmt in ("json", "csv", "pretty"):
+            assert run_main([*argv, "--format", fmt])[0] == 0, (argv, fmt)
     assert counts == {"TriMatrix": 0, "closed_form_coefficient": 0}
-    run_main(["matrices", "--m", "2"])  # H is built as a TriMatrix, and counted
+    creation_matrix(2)  # the counter's positive control
     assert counts["TriMatrix"] == 1
 
 

@@ -13,11 +13,13 @@ from hyperappell.trimatrix import (
     appell_matrix,
     appell_rows,
     creation_matrix,
+    derivation_entry,
     derivation_matrix,
     egf_reciprocal,
     nilpotent_exp,
     pascal_column,
     pascal_matrix,
+    subdiagonal_rows,
     transfer_column,
     transfer_matrix,
     tri_inverse,
@@ -111,6 +113,43 @@ def test_derivation_matrix_validation():
         derivation_matrix(0, 3)
     with pytest.raises(ValueError):
         derivation_matrix(2, 3, shift=-1)
+
+
+def zero_filled(m, entry):
+    """The order-m matrix with entry(i) at (i, i-1), written into a matrix of zeros."""
+    matrix = TriMatrix.zeros(m)
+    for i in range(1, m + 1):
+        matrix.rows[i][i - 1] = entry(i)
+    return matrix
+
+
+def test_subdiagonal_matrices_are_the_zero_filled_reference():
+    for m in range(21):
+        h = creation_matrix(m)
+        assert h == zero_filled(m, Fraction)
+        for n in range(1, 5):
+            for s in range(4):
+                entry = functools.partial(derivation_entry, n, shift=s)
+                ht = derivation_matrix(n, m, shift=s)
+                assert ht == zero_filled(m, entry)
+                assert all(type(v) is Fraction for row in ht.rows for v in row)
+        assert all(type(v) is Fraction for row in h.rows for v in row)
+
+
+def test_subdiagonal_rows_refuses_a_negative_order_at_the_call():
+    def entry(i):
+        raise AssertionError("no row may be drawn")
+
+    for m in (-1, -5):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            subdiagonal_rows(m, entry)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            creation_matrix(m)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            derivation_matrix(2, m)
+    # n and s are refused before the order
+    with pytest.raises(ValueError, match="dimension n must be at least 1"):
+        derivation_matrix(0, -1)
 
 
 def test_nilpotent_exp_equals_pascal():
