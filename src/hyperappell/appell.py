@@ -36,7 +36,7 @@ from types import MappingProxyType
 from .clifford import Multivector, Paravector
 from .polynomials import CliffordPoly
 from .rationals import ONE, ZERO, read_rational
-from .trimatrix import FAMILIES, appell_rows, check_dimension, check_lambda, transfer_column
+from .trimatrix import FAMILIES, check_dimension, check_lambda, transfer_column
 
 
 def check_header(family: str, lam: Fraction | None = None, shift: int = 0) -> None:
@@ -350,8 +350,10 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
         [((l - j, j), math.comb(l, j) * values[j]) for j in range(l + 1) if values[j]]
         for l in range(coeffs.m + 1)
     ]
-    for row in appell_rows(column):
-        yield ((key, t * a) for l, t in enumerate(row) if t for key, a in phi[l])
+    for k in range(len(column)):
+        # row k of T, C(k,l) t_(k-l), at the nonzero t only: a canonical row holds one
+        row = [(l, math.comb(k, l) * column[k - l]) for l in range(k + 1) if column[k - l]]
+        yield ((key, t * a) for l, t in row for key, a in phi[l])
 
 
 def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:

@@ -209,7 +209,9 @@ def _load_sequence(args) -> AppellSequence:
             # a regular file is read whole once its size passes (read(n) would copy the text);
             # a pipe, whose size fstat cannot tell, up to one character past the budget
             text = "" if size > INPUT_BUDGET else fh.read(-1 if size else INPUT_BUDGET + 1)
-        if max(size, len(text)) <= INPUT_BUDGET:
+        # a term takes about three commas: this bounds the strings and arrays count_term cannot see
+        commas = text.count(",")
+        if max(size, len(text)) <= INPUT_BUDGET and commas <= 4 * SIZE_BUDGET:
             # the text goes before the terms are loaded
             payload, text = json.loads(text, object_hook=count_term), None
             return AppellSequence.from_json(payload)
@@ -221,6 +223,9 @@ def _load_sequence(args) -> AppellSequence:
         if terms <= SIZE_BUDGET:
             raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
         raise ValueError(f"{args.input} holds more than the budget of {SIZE_BUDGET} terms")
+    if max(size, len(text)) <= INPUT_BUDGET:
+        budget = f"the {4 * SIZE_BUDGET} allowed for {SIZE_BUDGET} terms"
+        raise ValueError(f"{args.input} holds {commas} commas, more than {budget}")
     held = f"{size} bytes, more than" if size > INPUT_BUDGET else "more than"
     raise ValueError(f"{args.input} holds {held} the --input budget of {INPUT_BUDGET} bytes")
 

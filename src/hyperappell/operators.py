@@ -8,13 +8,16 @@ with Dv = sum_k e_k d/dx_k the vector derivative.  A polynomial is
 monogenic when D annihilates it, and a monogenic sequence is Appell when
 D* acts as degree lowering: D* p_k = k p_{k-1}.  certify decides both
 exactly on the binary form sum a_ij x0^i v^j, in one pass over the members
-that holds only p_k and p_(k-1), first by structure: in degree l the
-kernel of D is spanned by phi_l, so p_k is monogenic exactly when each
-homogeneous part is alpha_(k,l) phi_l, and as D* phi_l = l phi_(l-1), the
-ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That costs one integer
-comparison per term.  Only a degree where p_k or p_(k-1) is no such sum,
-or the alphas disagree, forms the two binary residuals, with
-Dv v^j = Ht[j, j-1] v^(j-1), at a few rational operations per term:
+that holds only p_k and p_(k-1), first by structure.  With
+Dv v^j = Ht[j, j-1] v^(j-1), the x0^(i-1) v^(j-1) coefficient of 2 D p is
+i a_(i,j-1) + Ht[j, j-1] a_(i-1,j), so a part of degree l is monogenic
+exactly when each term follows from its neighbour,
+(l-j+1) a_(l-j+1,j-1) = E_j a_(l-j,j) with E_j = -Ht[j, j-1] != 0: it is
+alpha_l phi_l, alpha_l its x0^l coefficient.  As D* phi_l = l phi_(l-1),
+the ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That costs one
+integer comparison per term.  Only a degree where p_k or p_(k-1) fails
+this, or the alphas disagree, forms the two binary residuals, at a few
+rational operations per term:
 distinct x0^i v^j share no expanded monomial, so a zero binary residual
 is an exact zero, and a nonzero one gives the witness.  check_monogenic and
 check_appell, the reference route, expand members into multivariate
@@ -36,13 +39,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
 
 from .appell import (
     AppellPoly,
     AppellSequence,
     CoeffSequence,
-    coefficient_sequence,
     expand_sequence,
     vector_power_expansion,
 )
@@ -216,20 +217,13 @@ def _binary_witness(residual: AppellPoly, n: int) -> dict:
     return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": blade.to_json()}
 
 
-def _phi_table(n: int, m: int) -> list[list[tuple[int, int]]]:
-    """C(l,j) c_j for j = 0..l, l = 0..m, as (numerator, denominator): phi_l, with c_0 = 1."""
-    c = coefficient_sequence(n, m).values
-    return [[(comb(l, j) * c[j].numerator, c[j].denominator) for j in range(l + 1)]
-            for l in range(m + 1)]
-
-
-def _multiples(poly: AppellPoly, k: int, phi: list[list[tuple[int, int]]]):
+def _multiples(poly: AppellPoly, k: int, entries: list[int]):
     """alpha_0..alpha_k with poly = sum_l alpha_l phi_l, or None if poly is no such sum.
 
-    phi_l spans the kernel of D in degree l and its x0^l coefficient is 1,
-    so alpha_l is poly's x0^l coefficient.  A part with alpha_l != 0 must
-    hold all l+1 keys; the count refuses any other key, a part above k too.
-    a = alpha * b is compared cross-multiplied, in integers.
+    alpha_l is poly's x0^l coefficient.  A part with alpha_l != 0 must hold all
+    l+1 keys, each term following from the one before as in the module
+    docstring, with E_j = entries[j]; the count refuses any other key, a part
+    above k too.  Neighbours are compared cross-multiplied, in integers.
     """
     terms = poly.terms
     alphas = [terms.get((l, 0), ZERO) for l in range(k + 1)]
@@ -238,12 +232,14 @@ def _multiples(poly: AppellPoly, k: int, phi: list[list[tuple[int, int]]]):
         if alpha:
             count += l + 1
             p, q = alpha.numerator, alpha.denominator
-            row = phi[l]
             for j in range(1, l + 1):
                 a = terms.get((l - j, j))
-                b, d = row[j]
-                if a is None or a.numerator * q * d != p * b * a.denominator:
+                if a is None:
                     return None
+                b, d = a.numerator, a.denominator
+                if (l - j + 1) * p * d != entries[j] * b * q:
+                    return None
+                p, q = b, d
     return alphas if count == len(terms) else None
 
 
@@ -262,8 +258,10 @@ def _passes_by_structure(k: int, a: list[Fraction] | None, prev: list[Fraction] 
 def certify(seq: AppellSequence) -> VerifyReport:
     """Full certificate: monogenicity, ladder, and the coefficient identity.
 
-    A degree passes by structure or is decided, with its witness, on the two
-    binary residuals; see the module docstring.
+    A degree passes by structure, each term of a part following from its
+    neighbour by D's recurrence (l-j+1) a_(l-j+1,j-1) = E_j a_(l-j,j), or is
+    decided, with its witness, on the two binary residuals; see the module
+    docstring.
 
     Sequences with a positive shift are coefficient skeletons of products
     with an extra monogenic factor that is not represented here; only the
@@ -273,13 +271,13 @@ def certify(seq: AppellSequence) -> VerifyReport:
     intertwining = check_intertwining(seq.coeffs)
     results = []
     if seq.shift == 0:
-        # c from n, not seq.coeffs: monogenicity is a property of the polynomials alone
-        phi = _phi_table(seq.n, seq.m)
+        # D from n, not seq.coeffs: monogenicity is a property of the polynomials alone
+        entries = [-int(derivation_entry(seq.n, j)) for j in range(seq.m + 1)]
         prev, prev_alphas = None, []
         for k, poly in enumerate(seq.polys):
             if k > seq.m:
                 raise ValueError(f"member {k} is past the degree m = {seq.m} of the coefficients")
-            alphas = _multiples(poly, k, phi)
+            alphas = _multiples(poly, k, entries)
             if _passes_by_structure(k, alphas, prev_alphas):
                 results.append(DegreeCheck(k, True, True))
             else:

@@ -316,6 +316,27 @@ def test_input_past_the_term_budget_exits_2_while_it_is_parsed(tmp_path, monkeyp
         assert run_main([*command, "--input", str(path)]) == expected
 
 
+@pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3")])
+def test_input_past_the_comma_bound_exits_2_before_it_is_parsed(tmp_path, monkeypatch, command):
+    # the term count sees objects only, so an extra key of short strings would pass it; a gen file
+    # takes about three commas a term, and more than four per term of SIZE_BUDGET is refused
+    path = tmp_path / "seq.json"
+    assert run_main(["gen", "--n", "2", "--m", "3", "--output", str(path)])[0] == 0
+    monkeypatch.setattr(cli, "SIZE_BUDGET", 20)
+    assert run_main([*command, "--input", str(path)])[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file past the comma bound must not be parsed")
+
+    padded = {**json.loads(path.read_text()), "x": ["12"] * 100000}
+    path.write_text(json.dumps(padded))
+    commas = path.read_text().count(",")
+    monkeypatch.setattr(json, "loads", refuse)
+    assert run_main([*command, "--input", str(path)]) == (
+        2, "", f"error: {path} holds {commas} commas, more than the 80 allowed for 20 terms\n"
+    )
+
+
 def _set_family(payload):
     payload["family"] = "nonsense"
 

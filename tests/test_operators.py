@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +32,7 @@ from hyperappell.operators import (
     partial_x0,
 )
 from hyperappell.polynomials import CliffordPoly
-from hyperappell.trimatrix import TriMatrix, creation_matrix, derivation_matrix
+from hyperappell.trimatrix import TriMatrix, creation_matrix, derivation_entry, derivation_matrix
 
 
 def mono(n, exps, coeff):
@@ -260,8 +261,8 @@ def test_certify_refuses_a_member_past_the_coefficients():
 
 def structure_decisions(seq):
     """Per degree, (monogenic, ladder) by structure; ladder None where it is left to residuals."""
-    phi = operators._phi_table(seq.n, seq.m)
-    alphas = [operators._multiples(p, k, phi) for k, p in enumerate(seq.polys)]
+    entries = [-int(derivation_entry(seq.n, j)) for j in range(seq.m + 1)]
+    alphas = [operators._multiples(p, k, entries) for k, p in enumerate(seq.polys)]
     rows = []
     for k in range(seq.m + 1):
         ladder = None
@@ -289,9 +290,11 @@ def test_structure_decision_matches_binary_residuals():
     decided = failed = 0
     for index, family in enumerate(FAMILIES):
         # every n up to m = 19; m = 40 at one n per family, which keeps the residuals affordable
-        sizes = [(n, m) for n in range(1, 5) for m in (1, 3, 6, 9, rng.randrange(10, 20))]
-        for n, m in sizes + [(index % 4 + 1, 40)]:
-            seq = build_family(n, m, family=family, lam=family_lam(family))
+        sizes = [(n, m, 1) for n in range(1, 5) for m in (1, 3, 6, 9, rng.randrange(10, 20))]
+        # a c0 other than 1 scales every part; at n = 10^9, E_j is j for even j and about n for odd
+        extra = [(index % 4 + 1, 40, 1), (2, 12, Fraction(-5, 3)), (10**9, 6, 1), (10**9, 7, -5)]
+        for n, m, c0 in sizes + extra:
+            seq = build_family(n, m, family=family, c0=c0, lam=family_lam(family))
             for case in (seq, corrupted(seq, rng, False), corrupted(seq, rng, True)):
                 pairs = zip(structure_decisions(case), residual_decisions(case))
                 for k, ((mono_s, ladder_s), (mono_r, ladder_r)) in enumerate(pairs):
@@ -302,6 +305,23 @@ def test_structure_decision_matches_binary_residuals():
                     failed += not (mono_r and ladder_r)
     # both outcomes are exercised: many degrees fail, and the ladder is decided by structure
     assert failed > 250 and decided > 2000, (failed, decided)
+
+
+def certify_peak(m):
+    """tracemalloc peak of certify alone, on the canonical n = 1 list built before tracing."""
+    seq = build_family(1, m)
+    tracemalloc.start()
+    try:
+        assert certify(seq).ok
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_holds_no_table_that_grows_with_m_squared():
+    # D is read from its one subdiagonal, m + 1 small ints, and each term is checked against its
+    # neighbour; a table of phi's m^2 / 2 coefficients would grow about 5x per doubling of m
+    assert certify_peak(200) < 2.5 * certify_peak(100)
 
 
 def test_certify_decides_corrupted_coefficients_from_the_polynomials():
