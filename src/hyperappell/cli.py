@@ -60,7 +60,7 @@ NEGATIVE_VALUE = re.compile(r"-\d")
 # The most terms (of a sequence) or entries (of a matrix) a command may build.
 SIZE_BUDGET = 10**6
 # The most bytes an --input file may hold: 300 per term, as `gen --n 3 --m 1412`, the largest
-# canonical file within SIZE_BUDGET, spends about 280; json.load holds about 3.5x the file.
+# canonical file within SIZE_BUDGET, spends about 280; its values are counted apart, 5 per term.
 INPUT_BUDGET = 300 * SIZE_BUDGET
 
 
@@ -188,20 +188,6 @@ def _load_sequence(args) -> AppellSequence:
     for key, flag in BUILD_FLAGS.items():
         if getattr(args, key) is not None:
             raise ValueError(f"{flag} does not apply to --input: the file fixes the sequence")
-    terms = 0
-
-    def count_term(obj: dict) -> dict:
-        # json.loads makes an object after those it holds: a member whose first term was counted
-        # is free, so the parse makes at most 2 * SIZE_BUDGET + 2 objects
-        nonlocal terms
-        held = obj.get("terms")
-        first = held[0] if type(held) is list and held else None
-        if type(first) is not dict or "terms" in first:
-            terms += 1
-            if terms > SIZE_BUDGET:
-                raise ValueError
-        return obj
-
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             info = os.fstat(fh.fileno())
@@ -209,25 +195,31 @@ def _load_sequence(args) -> AppellSequence:
             # a regular file is read whole once its size passes (read(n) would copy the text);
             # a pipe, whose size fstat cannot tell, up to one character past the budget
             text = "" if size > INPUT_BUDGET else fh.read(-1 if size else INPUT_BUDGET + 1)
-        # a term takes about three commas: this bounds the strings and arrays count_term cannot see
-        commas = text.count(",")
-        if max(size, len(text)) <= INPUT_BUDGET and commas <= 4 * SIZE_BUDGET:
-            # the text goes before the terms are loaded
-            payload, text = json.loads(text, object_hook=count_term), None
-            return AppellSequence.from_json(payload)
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
+    if max(size, len(text)) > INPUT_BUDGET:
+        held = f"{size} bytes, more than" if size > INPUT_BUDGET else "more than"
+        raise ValueError(f"{args.input} holds {held} the --input budget of {INPUT_BUDGET} bytes")
+    # json.loads makes each value as the first item after a [ or a {, or after a comma, so this
+    # bounds the parse whatever the nesting; a gen file holds 4 per term and m + 2 more with --float
+    values = text.count(",") + text.count("[") + text.count("{")
+    if values > 5 * SIZE_BUDGET:
+        raise ValueError(f"{args.input} holds {values} commas and opening brackets,"
+                         f" more than the {5 * SIZE_BUDGET} allowed for {SIZE_BUDGET} terms")
+    try:
+        # the text goes before the terms are loaded
+        payload, text = json.loads(text), None
+        seq = AppellSequence.from_json(payload)
     except RecursionError:
         raise ValueError(f"{args.input} is not a valid sequence file: nested too deeply")
     except ValueError as exc:
-        if terms <= SIZE_BUDGET:
-            raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
-        raise ValueError(f"{args.input} holds more than the budget of {SIZE_BUDGET} terms")
-    if max(size, len(text)) <= INPUT_BUDGET:
-        budget = f"the {4 * SIZE_BUDGET} allowed for {SIZE_BUDGET} terms"
-        raise ValueError(f"{args.input} holds {commas} commas, more than {budget}")
-    held = f"{size} bytes, more than" if size > INPUT_BUDGET else "more than"
-    raise ValueError(f"{args.input} holds {held} the --input budget of {INPUT_BUDGET} bytes")
+        raise ValueError(f"{args.input} is not a valid sequence file: {exc}")
+    if seq.n >= SIZE_BUDGET:  # a failure witness prints n + 1 exponents
+        raise ValueError(f"{args.input} has n = {seq.n}, more than the {SIZE_BUDGET - 1}"
+                         " allowed for --input")
+    return seq
 
 
 # -- subcommands ----------------------------------------------------------

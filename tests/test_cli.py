@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -291,50 +294,106 @@ def test_input_past_the_byte_budget_exits_2_before_it_is_parsed(tmp_path, monkey
     assert piped == (2, "", f"error: {name} holds more than {budget}")
 
 
+def parse_values(text: str) -> int:
+    """The values json.loads may make of `text`: one per comma, [ and {."""
+    return text.count(",") + text.count("[") + text.count("{")
+
+
+# Hand-made additions to a gen file, within the byte budget, that make many values of few bytes.
+PADDINGS = {
+    "short-strings": lambda payload, p: {**payload, "x": ["12"] * p},
+    "nested-lists": lambda payload, p: {**payload, "x": [[[0]]] * p},
+    "nested-dicts": lambda payload, p: {**payload, "x": [{"a": {"a": {}}}] * p},
+    "empty-members": lambda payload, p: {**payload, "polys": [{"k": 0, "terms": []}] * p},
+    "member-members": lambda payload, p: {
+        **payload, "polys": [{"k": 0, "terms": [{"k": 0, "terms": [{}]}]}] * p
+    },
+}
+
+
 @pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3")])
-def test_input_past_the_term_budget_exits_2_while_it_is_parsed(tmp_path, monkeypatch, command):
-    # the byte budget bounds the text, not the objects json.loads makes of it: the parse counts
-    # the terms and the file's top object, not the members, so a gen file of SIZE_BUDGET - 1 terms
-    # loads; a member holding no term counts, so members cannot be piled up for free instead
+@pytest.mark.parametrize("padding", PADDINGS.values(), ids=PADDINGS)
+def test_input_past_the_value_bound_exits_2_before_it_is_parsed(
+    tmp_path, monkeypatch, command, padding
+):
+    # the byte budget bounds the text, not the values json.loads makes of it; each value follows
+    # a comma, a [ or a {, whatever the nesting, and 5 per term of SIZE_BUDGET are allowed
     path = tmp_path / "seq.json"
-    gen = ["gen", "--n", "2", "--m", "3", "--family", "euler", "--output", str(path)]
-    assert run_main(gen)[0] == 0
+    assert run_main(["gen", "--n", "2", "--m", "5", "--output", str(path)])[0] == 0
     payload = json.loads(path.read_text())
-    terms = sum(len(member["terms"]) for member in payload["polys"])
-    monkeypatch.setattr(cli, "SIZE_BUDGET", terms + 1)
+    # 21 terms at m = 5: 4 * 21 + 4 * 5 + 11 = 115 = 5 * 23 values, exactly at the bound
+    assert parse_values(path.read_text()) == 115
+    monkeypatch.setattr(cli, "SIZE_BUDGET", 23)
     assert run_main([*command, "--input", str(path)])[0] == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a file past the budget must not be loaded")
+        raise AssertionError("a file past the value bound must not be parsed")
 
-    monkeypatch.setattr(appell.AppellSequence, "from_json", refuse)
-    monkeypatch.setattr(cli, "SIZE_BUDGET", terms)
-    expected = (2, "", f"error: {path} holds more than the budget of {terms} terms\n")
-    assert run_main([*command, "--input", str(path)]) == expected
-    for members in ([{"k": 0, "terms": []}], [{"k": 0, "terms": [{"k": 0, "terms": [{}]}]}]):
-        path.write_text(json.dumps({**payload, "polys": members * terms}))
-        assert run_main([*command, "--input", str(path)]) == expected
-
-
-@pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3")])
-def test_input_past_the_comma_bound_exits_2_before_it_is_parsed(tmp_path, monkeypatch, command):
-    # the term count sees objects only, so an extra key of short strings would pass it; a gen file
-    # takes about three commas a term, and more than four per term of SIZE_BUDGET is refused
-    path = tmp_path / "seq.json"
-    assert run_main(["gen", "--n", "2", "--m", "3", "--output", str(path)])[0] == 0
-    monkeypatch.setattr(cli, "SIZE_BUDGET", 20)
-    assert run_main([*command, "--input", str(path)])[0] == 0
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a file past the comma bound must not be parsed")
-
-    padded = {**json.loads(path.read_text()), "x": ["12"] * 100000}
-    path.write_text(json.dumps(padded))
-    commas = path.read_text().count(",")
     monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(cli, "SIZE_BUDGET", 22)
+    expected = "commas and opening brackets, more than the 110 allowed for 22 terms\n"
     assert run_main([*command, "--input", str(path)]) == (
-        2, "", f"error: {path} holds {commas} commas, more than the 80 allowed for 20 terms\n"
+        2, "", f"error: {path} holds 115 {expected}"
     )
+    path.write_text(json.dumps(padding(payload, 100)))
+    values = parse_values(path.read_text())
+    assert run_main([*command, "--input", str(path)]) == (
+        2, "", f"error: {path} holds {values} {expected}"
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_gen_file_within_the_size_budget_is_within_the_value_bound(family):
+    # a gen file holds 4 values per term, 4 per degree and 11 more, and m + 2 more with --float;
+    # member k holds k + 1 terms (canonical) or at most C(k + 2, 2)
+    lam = "-4/7" if family == "frobenius-euler" else None
+    most_terms = lambda m: math.comb(m + 2 + (family != "canonical"), 2 + (family != "canonical"))
+    for m in (0, 1, 5, 12):
+        for with_float in ([], ["--float"]):
+            argv = ["gen", "--n", "3", "--m", str(m), "--family", family, *with_float]
+            status, text, _ = run_main(argv + ([f"--lambda={lam}"] if lam else []))
+            terms = sum(len(member["terms"]) for member in json.loads(text)["polys"])
+            extra = m + 2 if with_float else 0
+            assert status == 0 and parse_values(text) == 4 * terms + 4 * m + 11 + extra
+            assert terms <= most_terms(m)
+
+    def admitted(m):
+        flags = argparse.Namespace(n=3, m=m, family=family, lam=lam, c0=None, shift=None)
+        try:
+            cli._build_flags(flags)
+        except ValueError:
+            return False
+        return True
+
+    # the largest m the size check admits: 1412 for canonical, where the file holds 4,001,623
+    m = next(m for m in itertools.count() if not admitted(m + 1))
+    assert (m == 1412) == (family == "canonical")
+    assert 4 * most_terms(m) + 4 * m + 11 + m + 2 <= 5 * cli.SIZE_BUDGET
+
+
+def test_input_n_at_the_size_budget_exits_2(tmp_path, monkeypatch):
+    # a failure witness prints n + 1 exponents, so a corrupted file of n = 10^9 would print
+    # gigabytes; from flags a sequence passes and prints no witness, so --n stays unbounded
+    monkeypatch.setattr(cli, "SIZE_BUDGET", 20)
+    for n, status in ((19, 1), (20, 2)):
+        path = tmp_path / f"n{n}.json"
+        assert run_main(["gen", "--n", str(n), "--m", "3", "--output", str(path)])[0] == 0
+        payload = json.loads(path.read_text())
+        payload["polys"][3]["terms"][0]["a"] += "1"
+        path.write_text(json.dumps(payload))
+        assert run_main(["verify", "--input", str(path)])[0] == status
+    refused = (2, "", f"error: {path} has n = 20, more than the 19 allowed for --input\n")
+    assert run_main(["verify", "--input", str(path)]) == refused
+    assert run_main(["eval", "--input", str(path), "--point", ",".join("1" * 21)]) == refused
+    assert run_main(["verify", "--n", "20", "--m", "3"])[0] == 0
+
+
+def test_undecodable_input_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"family": "caf\xe9"}')
+    status, out, err = run_main(["verify", "--input", str(path)])
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {path} is not a valid sequence file: 'utf-8' codec can't decode")
 
 
 def _set_family(payload):
