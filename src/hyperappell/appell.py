@@ -21,13 +21,14 @@ powers; classical families (Bernoulli, Euler, Frobenius-Euler, Hermite)
 arise by applying their transfer matrices f(H) to the basic sequence.
 `transferred_terms` computes T phi term by term from the first column of
 T = f(H), and `family_members` yields its members one at a time: a caller
-that uses each as it is drawn holds O(m^2) values, not the O(m^3) terms.
+that uses each as it is drawn holds one row of T and the members of phi it
+reads, one member for the basic sequence, never the O(m^3) terms of T phi.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -130,7 +131,7 @@ class AppellPoly:
             for (i, j), coeff in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term ({i}, {j})")
-                value = Fraction(coeff)
+                value = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if value:
                     clean[(i, j)] = value
         self.terms = clean
@@ -283,7 +284,7 @@ class AppellSequence:
                 if key[0] + key[1] > k:
                     raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
                 a = read_rational(term.get("a"), "term coefficient")
-                terms[key] = terms.get(key, ZERO) + a
+                terms[key] = terms[key] + a if key in terms else a
             polys.append(AppellPoly(k, terms))
         if not polys:
             raise ValueError("sequence must contain at least degree 0")
@@ -342,18 +343,22 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
     phi_l is homogeneous of degree l, so x0^i v^j occurs only in phi_(i+j):
     row k of T scales whole members and no two products share a key, and
     walking l, then j, upwards is `sorted_terms` order.  Each
-    a = C(k,l) t_(k-l) * C(l,j) c_j; only phi's terms and one row of T are
-    held, O(m^2) in all.  Member k has degree k, since t_0 != 0.
+    a = C(k,l) t_(k-l) * C(l,j) c_j.  Row k reads phi_l only at t_(k-l) != 0,
+    so with `reach` the last d of a nonzero t_d only phi_(k-reach)..phi_k and
+    one row of T are held: one member of phi for the canonical column, all of
+    them for a transfer column, which reaches m or m-1.  Each drawn row keeps
+    its own phi lists, so its generator stays valid as later rows are drawn.
+    Member k has degree k, since t_0 != 0.
     """
     values = coeffs.values
-    phi = [
-        [((l - j, j), math.comb(l, j) * values[j]) for j in range(l + 1) if values[j]]
-        for l in range(coeffs.m + 1)
-    ]
+    reach = max((d for d, t in enumerate(column) if t), default=0)
+    phi = deque(maxlen=reach + 1)  # phi_(k-reach)..phi_k: row k reads no older member
     for k in range(len(column)):
-        # row k of T, C(k,l) t_(k-l), at the nonzero t only: a canonical row holds one
-        row = [(l, math.comb(k, l) * column[k - l]) for l in range(k + 1) if column[k - l]]
-        yield ((key, t * a) for l, t in row for key, a in phi[l])
+        phi.append([((k - j, j), math.comb(k, j) * values[j]) for j in range(k + 1) if values[j]])
+        # row k of T, C(k,l) t_(k-l) with phi_l, at the nonzero t only: a canonical row holds one
+        row = [(math.comb(k, l) * column[k - l], phi[l - k - 1])
+               for l in range(max(0, k - reach), k + 1) if column[k - l]]
+        yield ((key, t * a) for t, terms in row for key, a in terms)
 
 
 def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:

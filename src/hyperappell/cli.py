@@ -100,6 +100,12 @@ def _check_bound(bound: int) -> None:
         )
 
 
+def _check_values(values) -> None:
+    """Refuse, before the first byte, computed values of `eval` or `exp` past the digit limit."""
+    parts = (c for mv in values for c in mv.terms.values())
+    _check_bound(max((max(abs(c.numerator), c.denominator) for c in parts), default=0))
+
+
 def _triangle(m: int) -> int:
     """(m+1)(m+2)/2: entries of a triangular matrix, terms of phi_0..phi_m."""
     return (m + 1) * (m + 2) // 2
@@ -280,6 +286,7 @@ def cmd_eval(args) -> int:
     seq = _load_sequence(args)
     point = _parse_point(args.point, seq.n)
     values = seq.eval_at(point)
+    _check_values(values)
     if args.format == "json":
         out = {
             "family": seq.family,
@@ -364,6 +371,7 @@ def cmd_exp(args) -> int:
     _check_size("--order", args.order, _triangle(args.order), "terms")
     point = _parse_point(args.point, args.n)
     value = exp_truncated(point, args.order)
+    _check_values([value])
     if args.format == "json":
         out = {
             "n": args.n,

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from hyperappell.clifford import Multivector, Paravector, vector_power
 from hyperappell.rationals import double_factorial
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.trimatrix import (
+    appell_matrix,
     creation_matrix,
     nilpotent_exp,
     transfer_column,
@@ -404,12 +406,47 @@ def test_streamed_members_are_the_reference_transfer_of_phi(family, lam, shift, 
         header = family_terms(n, m, family, c0=c0, lam=lam, shift=shift)
         assert header[:3] == (family, coeffs, lam)
         assert header[3] == transfer_column(family, m, lam)
-        members = transferred_terms(header[3], coeffs)
+        # every row drawn before any is drained: each keeps its phi members past the window
+        members = list(transferred_terms(header[3], coeffs))
         assert [list(member) for member in members] == [p.sorted_terms() for p in reference]
         assert list(family_members(header[3], coeffs)) == reference
         seq = build_family(n, m, family, c0=c0, lam=lam, shift=shift)
         assert seq.polys == reference
         assert [p.degree for p in seq.polys] == list(range(m + 1))
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1, Fraction(2, 3), Fraction(-5, 4)] + [0] * 7,  # reaches d = 2
+        [2, 0, 0, Fraction(3, 5), 0, -1, 0, 0, 0, 0],  # interior zeros, reaches d = 5
+    ],
+    ids=["reach-2", "interior-zeros"],
+)
+def test_short_columns_read_a_window_of_phi(column):
+    # row k reads phi_(k-reach)..phi_k, drained as drawn or after every row is drawn
+    column = [Fraction(t) for t in column]
+    for n in range(1, 5):
+        coeffs = coefficient_sequence(n, len(column) - 1, c0=Fraction(-3, 5))
+        reference = [p.sorted_terms() for p in appell_matrix(column).apply(phi_oracle(coeffs))]
+        assert [list(member) for member in transferred_terms(column, coeffs)] == reference
+        members = list(transferred_terms(column, coeffs))
+        assert [list(member) for member in members] == reference
+
+
+def test_canonical_members_hold_one_member_of_phi():
+    # the canonical column (1, 0, ..., 0) reaches d = 0: all of phi at m = 300 took 9.6 MB
+    coeffs = coefficient_sequence(1, 300)
+    column = transfer_column("canonical", 300)
+    tracemalloc.start()
+    try:
+        for member in transferred_terms(column, coeffs):
+            for _ in member:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_build_phi_omits_zero_coefficients():

@@ -1106,6 +1106,8 @@ def test_size_budget_counts_terms_and_entries(monkeypatch):
 @pytest.fixture
 def digit_limit():
     """sys.set_int_max_str_digits for one test; the limit in force before is restored after."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this CPython has no limit on the digits of int to str conversion")
     before = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(before)
@@ -1126,6 +1128,23 @@ def test_numbers_past_the_digit_limit_exit_2_before_the_first_byte(digit_limit):
     # the bound is tight for Pascal: one order less is written in full
     argv = ["matrices", "--m", "71", f"--pascal={e60}"]
     assert run_main(argv) == (0, json_text(pascal_matrix(e60, 71).to_json()), "")
+
+
+def test_eval_and_exp_values_past_the_digit_limit_exit_2_in_its_words(digit_limit, tmp_path):
+    # at x0 = 10^100, phi_7 and the order-7 sum hold x0^7 (701 digits); phi_6 (601) is written
+    digit_limit(640)
+    point = ["--point", f"{10**100},1"]
+    path = tmp_path / "m7.json"
+    assert run_main(["gen", "--n", "1", "--m", "7", "--output", str(path)])[0] == 0
+    for args in (["eval", "--n", "1", "--m", "7", *point], ["eval", "--input", str(path), *point],
+                 ["exp", "--n", "1", *point, "--order", "7"]):
+        for fmt in ("json", "csv", "pretty"):
+            status, out, err = run_main([*args, "--format", fmt])
+            assert (status, out, err.count("\n")) == (2, "", 1), (args, fmt)
+            assert err.startswith("error: the output would hold numbers of about 70")
+            assert err.endswith(" more than the limit of 640 digits for int to str conversion\n")
+    assert run_main(["eval", "--n", "1", "--m", "6", *point])[0] == 0
+    assert run_main(["exp", "--n", "1", *point, "--order", "6"])[0] == 0
 
 
 def gen_values(seq):
