@@ -4,105 +4,75 @@ The package builds Appell sequences of paravector-valued polynomials from
 nilpotent creation matrices, transfers them to classical families
 (Bernoulli, Euler, Frobenius-Euler, Hermite), and certifies monogenicity
 and the derivative ladder symbolically, all in rational arithmetic.
+
+Importing the package loads no submodule: each name in `__all__` is looked
+up in its module on first use (PEP 562), so ``from hyperappell import X``
+reaches every name while a command loads only what it calls.  The
+reference route lives in `reference`, which no command imports.
 """
 
-from .appell import (
-    FAMILIES,
-    AppellPoly,
-    AppellSequence,
-    CoeffSequence,
-    build_family,
-    build_phi,
-    closed_form_coefficient,
-    coefficient_sequence,
-    eval_poly,
-    exp_truncated,
-    expand_multivariate,
-    expand_sequence,
-    family_members,
-    family_terms,
-    restrict_poly,
-    vector_power_expansion,
-)
-from .clifford import Multivector, Paravector, blade_product, vector_power
-from .operators import (
-    DegreeCheck,
-    VerifyReport,
-    certify,
-    check_appell,
-    check_intertwining,
-    check_monogenic,
-    check_xi_derivation,
-    cr,
-    cr_bar,
-    dirac,
-    partial_x0,
-)
-from .polynomials import CliffordPoly
-from .rationals import double_factorial, parse_rational, read_rational
-from .trimatrix import (
-    TRANSFER_FAMILIES,
-    TriMatrix,
-    appell_matrix,
-    appell_rows,
-    creation_matrix,
-    derivation_matrix,
-    egf_reciprocal,
-    nilpotent_exp,
-    pascal_matrix,
-    transfer_matrix,
-    transfer_column,
-    tri_inverse,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppellPoly",
-    "AppellSequence",
-    "CliffordPoly",
-    "CoeffSequence",
-    "DegreeCheck",
-    "FAMILIES",
-    "Multivector",
-    "Paravector",
-    "TRANSFER_FAMILIES",
-    "TriMatrix",
-    "VerifyReport",
-    "appell_matrix",
-    "appell_rows",
-    "blade_product",
-    "build_family",
-    "build_phi",
-    "certify",
-    "check_appell",
-    "check_intertwining",
-    "check_monogenic",
-    "check_xi_derivation",
-    "closed_form_coefficient",
-    "coefficient_sequence",
-    "cr",
-    "cr_bar",
-    "creation_matrix",
-    "derivation_matrix",
-    "dirac",
-    "double_factorial",
-    "egf_reciprocal",
-    "eval_poly",
-    "exp_truncated",
-    "expand_multivariate",
-    "expand_sequence",
-    "family_members",
-    "family_terms",
-    "nilpotent_exp",
-    "parse_rational",
-    "partial_x0",
-    "pascal_matrix",
-    "read_rational",
-    "restrict_poly",
-    "transfer_column",
-    "transfer_matrix",
-    "tri_inverse",
-    "vector_power",
-    "vector_power_expansion",
-]
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "AppellPoly": "appell",
+    "AppellSequence": "appell",
+    "CoeffSequence": "appell",
+    "FAMILIES": "appell",
+    "build_family": "appell",
+    "build_phi": "appell",
+    "coefficient_sequence": "appell",
+    "eval_poly": "appell",
+    "exp_truncated": "appell",
+    "family_members": "appell",
+    "family_terms": "appell",
+    "restrict_poly": "appell",
+    "vector_power_expansion": "appell",
+    "Multivector": "clifford",
+    "Paravector": "clifford",
+    "blade_product": "clifford",
+    "DegreeCheck": "operators",
+    "VerifyReport": "operators",
+    "certify": "operators",
+    "check_intertwining": "operators",
+    "CliffordPoly": "polynomials",
+    "parse_rational": "rationals",
+    "read_rational": "rationals",
+    "TriMatrix": "reference",
+    "appell_matrix": "reference",
+    "check_appell": "reference",
+    "check_monogenic": "reference",
+    "check_xi_derivation": "reference",
+    "closed_form_coefficient": "reference",
+    "cr": "reference",
+    "cr_bar": "reference",
+    "creation_matrix": "reference",
+    "derivation_matrix": "reference",
+    "dirac": "reference",
+    "expand_multivariate": "reference",
+    "expand_sequence": "reference",
+    "nilpotent_exp": "reference",
+    "partial_x0": "reference",
+    "pascal_matrix": "reference",
+    "transfer_matrix": "reference",
+    "tri_inverse": "reference",
+    "vector_power": "reference",
+    "TRANSFER_FAMILIES": "trimatrix",
+    "appell_rows": "trimatrix",
+    "egf_reciprocal": "trimatrix",
+    "transfer_column": "trimatrix",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

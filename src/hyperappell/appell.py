@@ -72,27 +72,14 @@ class CoeffSequence(namedtuple("CoeffSequence", "n shift values")):
         return CoeffSequence(self.n, self.shift, tuple(values))
 
 
-def closed_form_coefficient(n: int, k: int, c0: Fraction = ONE, shift: int = 0) -> Fraction:
-    """c_k by the double-factorial formula (valid for all n >= 1).
-
-    c_{2r} = c_{2r-1} = (2r-1)!! (n+2s-2)!! / (n+2r+2s-2)!! * c_0; the ratio
-    of the last two is 1 / prod_{t=1..r} (n+2s-2+2t), r factors for any n.
-    """
-    num = den = 1
-    for t in range(1, (k + 1) // 2 + 1):
-        num *= 2 * t - 1
-        den *= n + 2 * shift - 2 + 2 * t
-    return Fraction(num, den) * Fraction(c0)
-
-
 def coefficient_sequence(
     n: int, m: int, c0: Fraction = ONE, shift: int = 0
 ) -> CoeffSequence:
     """Coefficients c_0..c_m making the degree ladder monogenic.
 
     Built by the recurrence, which covers n = 1 (all entries equal c_0,
-    the complex case) and n > 1 uniformly; the closed form above gives the
-    same values and is the tests' reference.
+    the complex case) and n > 1 uniformly; the closed double-factorial
+    form, `reference.closed_form_coefficient`, gives the same values.
     """
     check_dimension(n, shift)
     if m < 0:
@@ -204,7 +191,7 @@ class AppellSequence:
     """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n, s and m live in coeffs.
 
     `polys` is any iterable of the members in degree order, such as a list or
-    `family_members`; `certify` and `eval_at` each draw it once.
+    `family_members`; `certify`, `eval_at` and `to_json` each draw it once, through `members`.
     """
 
     def __init__(
@@ -244,17 +231,27 @@ class AppellSequence:
     def m(self) -> int:
         return self.coeffs.m
 
+    def members(self) -> Iterator[AppellPoly]:
+        """p_0..p_m drawn from `polys`, refusing (ValueError) a stream that ends early or runs on."""
+        k = -1
+        for k, poly in enumerate(self.polys):
+            if k > self.m:
+                raise ValueError(f"member {k} is past the degree m = {self.m} of the coefficients")
+            yield poly
+        if k < self.m:
+            raise ValueError(f"member {k + 1} is missing: the members end before m = {self.m}")
+
     def eval_at(self, x: Paravector) -> list[Multivector]:
         if x.n != self.n:
             raise ValueError(f"point has dimension {x.n}, sequence has {self.n}")
-        return [eval_poly(p, x) for p in self.polys]
+        return [eval_poly(p, x) for p in self.members()]
 
     def restrict_real(self) -> list[list[Fraction]]:
         """Set the vector part to zero; ascending x0 coefficients per degree."""
-        return [restrict_poly(p) for p in self.polys]
+        return [restrict_poly(p) for p in self.members()]
 
     def to_json(self) -> dict:
-        members = (poly.sorted_terms() for poly in self.polys)
+        members = (poly.sorted_terms() for poly in self.members())
         return sequence_json(self.family, self.coeffs, self.lam, members)
 
     @classmethod
@@ -406,8 +403,8 @@ def build_family(
 ) -> AppellSequence:
     """Construct a named sequence: the basic one, or its transfer T phi.
 
-    `family_terms`, materialized.  `TriMatrix.apply` on `build_phi`'s
-    members is the reference for T phi.
+    `family_terms`, materialized.  `reference.TriMatrix.apply` on
+    `build_phi`'s members is the reference for T phi.
     """
     family, coeffs, lam, column = family_terms(n, m, family, c0, lam, shift)
     return AppellSequence(family, list(family_members(column, coeffs)), coeffs, lam)
@@ -455,22 +452,6 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
     poly = CliffordPoly(n, terms)
     poly.terms = MappingProxyType(poly.terms)
     return poly
-
-
-def expand_multivariate(poly: AppellPoly, n: int) -> CliffordPoly:
-    """Binary form to full multivariate form over x0..xn."""
-    acc = CliffordPoly.zero(n)
-    for (i, j), a in poly.terms.items():
-        block = vector_power_expansion(n, j)
-        shifted = {
-            (i,) + exps[1:]: coeff * a for exps, coeff in block.terms.items()
-        }
-        acc = acc + CliffordPoly(n, shifted)
-    return acc
-
-
-def expand_sequence(seq: AppellSequence) -> list[CliffordPoly]:
-    return [expand_multivariate(p, seq.n) for p in seq.polys]
 
 
 def eval_poly(poly: AppellPoly, x: Paravector) -> Multivector:

@@ -298,21 +298,3 @@ class Paravector(namedtuple("Paravector", "x0 vec")):
             self.n, {1 << (k - 1): v for k, v in enumerate(self.vec, start=1)}
         )
 
-
-def vector_power(x: Paravector, j: int) -> Multivector:
-    """j-th power of a pure vector, in closed form.
-
-    A vector v squares to the scalar -(x1^2 + ... + xn^2), so
-
-        v^j = (-|v|^2)^(j/2)            for even j,
-        v^j = (-|v|^2)^((j-1)/2) * v    for odd j.
-    """
-    if x.x0:
-        raise ValueError("vector_power expects a paravector with zero scalar part")
-    if j < 0:
-        raise ValueError("vector_power expects a nonnegative exponent")
-    square = -x.vector_norm_sq()
-    scale = square ** (j // 2)
-    if j % 2 == 0:
-        return Multivector.scalar(x.n, scale)
-    return x.vector_to_multivector() * scale

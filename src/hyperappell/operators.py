@@ -19,11 +19,11 @@ integer comparison per term.  Only a degree where p_k or p_(k-1) fails
 this, or the alphas disagree, forms the two binary residuals, at a few
 rational operations per term:
 distinct x0^i v^j share no expanded monomial, so a zero binary residual
-is an exact zero, and a nonzero one gives the witness.  check_monogenic and
-check_appell, the reference route, expand members into multivariate
-polynomials instead.  Both report a failing degree with the same witness
-monomial, so negative controls produce usable evidence instead of a bare
-boolean.
+is an exact zero, and a nonzero one gives the witness.  The reference
+route, `reference.check_monogenic` and `reference.check_appell`, expands
+members into multivariate polynomials instead.  Both report a failing
+degree with the same witness monomial, so negative controls produce
+usable evidence instead of a bare boolean.
 
 Coefficient-level identities live alongside: the vector derivative acts on
 the column of vector powers through a one-subdiagonal matrix, and the
@@ -40,47 +40,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .appell import (
-    AppellPoly,
-    AppellSequence,
-    CoeffSequence,
-    expand_sequence,
-    vector_power_expansion,
-)
+from .appell import AppellPoly, AppellSequence, CoeffSequence
 from .clifford import Multivector
-from .polynomials import CliffordPoly
 from .rationals import ZERO
-from .trimatrix import check_dimension, derivation_entry, derivation_matrix
+from .trimatrix import check_dimension, derivation_entry
 
 HALF = Fraction(1, 2)
-
-
-def partial_x0(poly: CliffordPoly) -> CliffordPoly:
-    return poly.partial(0)
-
-
-def dirac(poly: CliffordPoly) -> CliffordPoly:
-    """Vector derivative sum_k e_k d(poly)/dx_k, with e_k acting from the left."""
-    acc = CliffordPoly.zero(poly.n)
-    for k in range(1, poly.n + 1):
-        ek = Multivector.generator(poly.n, k)
-        acc = acc + poly.partial(k).map_coefficients(lambda c, ek=ek: ek * c)
-    return acc
-
-
-def cr(poly: CliffordPoly) -> CliffordPoly:
-    """Conjugate generalized Cauchy-Riemann operator, (d/dx0 - Dv)/2."""
-    return (partial_x0(poly) - dirac(poly)) * HALF
-
-
-def cr_bar(poly: CliffordPoly) -> CliffordPoly:
-    """Generalized Cauchy-Riemann operator, (d/dx0 + Dv)/2."""
-    return (partial_x0(poly) + dirac(poly)) * HALF
-
-
-def _witness(residual: CliffordPoly) -> dict:
-    exps, coeff = residual.leading_term()
-    return {"exponents": list(exps), "coeff": coeff.to_json()}
 
 
 class DegreeCheck(namedtuple("DegreeCheck", "k monogenic ladder witness", defaults=(None,) * 3)):
@@ -136,49 +101,6 @@ class VerifyReport(
         if self.intertwining is not None:
             out["intertwining"] = self.intertwining
         return out
-
-
-def check_monogenic(seq: AppellSequence) -> VerifyReport:
-    """D p_k = 0 for every degree, with a witness monomial on failure."""
-    expanded = expand_sequence(seq)
-    results = []
-    for k, poly in enumerate(expanded):
-        residual = cr_bar(poly)
-        if residual.is_zero():
-            results.append(DegreeCheck(k, monogenic=True))
-        else:
-            results.append(DegreeCheck(k, monogenic=False, witness=_witness(residual)))
-    return VerifyReport(n=seq.n, family=seq.family, results=results, shift=seq.shift)
-
-
-def check_appell(seq: AppellSequence) -> VerifyReport:
-    """D* p_k = k p_{k-1} for every degree; degree 0 holds vacuously."""
-    expanded = expand_sequence(seq)
-    results = [DegreeCheck(0, ladder=True)]
-    for k in range(1, len(expanded)):
-        residual = cr(expanded[k]) - expanded[k - 1] * Fraction(k)
-        if residual.is_zero():
-            results.append(DegreeCheck(k, ladder=True))
-        else:
-            results.append(DegreeCheck(k, ladder=False, witness=_witness(residual)))
-    return VerifyReport(n=seq.n, family=seq.family, results=results, shift=seq.shift)
-
-
-def check_xi_derivation(n: int, m: int) -> bool:
-    """Dv applied to the column of vector powers matches the matrix action.
-
-    Row j of the derivation matrix has a single entry at j-1, so the check
-    compares Dv v^j against that entry times v^(j-1), as polynomials.
-    """
-    matrix = derivation_matrix(n, m)
-    for j in range(m + 1):
-        derived = dirac(vector_power_expansion(n, j))
-        expected = CliffordPoly.zero(n)
-        if j:
-            expected = vector_power_expansion(n, j - 1) * matrix[j, j - 1]
-        if derived != expected:
-            return False
-    return True
 
 
 def check_intertwining(coeffs: CoeffSequence) -> bool:
@@ -274,9 +196,7 @@ def certify(seq: AppellSequence) -> VerifyReport:
         # D from n, not seq.coeffs: monogenicity is a property of the polynomials alone
         entries = [-int(derivation_entry(seq.n, j)) for j in range(seq.m + 1)]
         prev, prev_alphas = None, []
-        for k, poly in enumerate(seq.polys):
-            if k > seq.m:
-                raise ValueError(f"member {k} is past the degree m = {seq.m} of the coefficients")
+        for k, poly in enumerate(seq.members()):
             alphas = _multiples(poly, k, entries)
             if _passes_by_structure(k, alphas, prev_alphas):
                 results.append(DegreeCheck(k, True, True))

@@ -1,4 +1,4 @@
-"""Exact rational scalars and small combinatorial helpers.
+"""Exact rational scalars.
 
 Every coefficient in this package is an arbitrary-precision rational, so
 "equals zero" is decidable and certification never depends on a floating
@@ -41,21 +41,6 @@ def read_rational(value, name: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"{name} expects an exact rational like 3 or -3/4, got {value!r}")
-
-
-def double_factorial(k: int) -> int:
-    """k!! = k (k-2) (k-4) ..., with the conventions (-1)!! = 0!! = 1.
-
-    Extending down to k = -1 keeps ratios of double factorials well
-    defined in every dimension n >= 1 that the coefficient formulas use.
-    """
-    if k < -1:
-        raise ValueError(f"double factorial undefined for {k} < -1")
-    result = 1
-    while k > 1:
-        result *= k
-        k -= 2
-    return result
 
 
 def approximate(value: Fraction, name: str) -> float:

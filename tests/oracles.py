@@ -106,6 +106,24 @@ def egf_reciprocal_by_fractions(g: list[Fraction]) -> list[Fraction]:
     return f
 
 
+# -- coefficients ----------------------------------------------------------
+
+
+def double_factorial(k: int) -> int:
+    """k!! = k (k-2) (k-4) ..., with the conventions (-1)!! = 0!! = 1.
+
+    Extending down to k = -1 keeps ratios of double factorials well
+    defined in every dimension n >= 1 that the coefficient formulas use.
+    """
+    if k < -1:
+        raise ValueError(f"double factorial undefined for {k} < -1")
+    result = 1
+    while k > 1:
+        result *= k
+        k -= 2
+    return result
+
+
 # -- classical polynomial families, ascending coefficient lists -------------
 
 

@@ -14,31 +14,31 @@ from hyperappell.appell import (
     AppellSequence,
     build_family,
     build_phi,
-    closed_form_coefficient,
     coefficient_sequence,
     eval_poly,
     exp_truncated,
-    expand_multivariate,
     family_members,
     family_terms,
     restrict_poly,
     transferred_terms,
     vector_power_expansion,
 )
-from hyperappell.clifford import Multivector, Paravector, vector_power
-from hyperappell.rationals import double_factorial
+from hyperappell.clifford import Multivector, Paravector
 from hyperappell.polynomials import CliffordPoly
-from hyperappell.trimatrix import (
+from hyperappell.reference import (
     appell_matrix,
+    closed_form_coefficient,
     creation_matrix,
+    expand_multivariate,
     nilpotent_exp,
-    transfer_column,
     transfer_matrix,
     tri_inverse,
+    vector_power,
 )
+from hyperappell.trimatrix import transfer_column
 
 from test_trimatrix import COLUMN_CASES, STREAM_ORDERS, reference_transfer
-from oracles import bernoulli_polys, euler_polys_inverse, euler_polys_recurrence, hermite_polys_recurrence, hermite_polys_series
+from oracles import bernoulli_polys, double_factorial, euler_polys_inverse, euler_polys_recurrence, hermite_polys_recurrence, hermite_polys_series
 
 
 # -- coefficient sequences --------------------------------------------------

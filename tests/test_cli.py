@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from hyperappell import (
     FAMILIES,
     Paravector,
-    TriMatrix,
     appell,
     build_family,
     build_phi,
@@ -1015,52 +1014,74 @@ def test_verify_and_eval_from_flags_build_no_sequence(monkeypatch, family):
         assert (status, err, json.loads(out)["values"]) == (0, "", values)
 
 
+# Runs CLI commands in a fresh interpreter: argv lists in, their (status, stdout, stderr) and
+# what the interpreter imported out.  -S keeps a site hook from preloading a module.
+ROUTE_SCRIPT = """
+import contextlib, io, json, sys
+import hyperappell.cli
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = hyperappell.cli.main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+results = [run(argv) for argv in json.load(sys.stdin)]
+modules = sorted(name for name in sys.modules if name.startswith("hyperappell"))
+cached = hasattr(sys.modules["hyperappell.appell"].vector_power_expansion, "cache_info")
+hyperappell.TriMatrix  # a reference name, looked up lazily
+lazy = "hyperappell.reference" in sys.modules
+print(json.dumps({"results": results, "modules": modules, "cached": cached, "lazy": lazy}))
+"""
+# The modules bench/tracer.py looks up after importing hyperappell.cli.
+TRACED_MODULES = {f"hyperappell.{name}" for name in (
+    "rationals", "clifford", "trimatrix", "polynomials", "appell", "operators", "cli")}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, monkeypatch, family):
-    # certify has one route per identity: the coefficient recurrence and the intertwining
-    # identity on its one nonzero diagonal; the matrices and the closed form are test references,
-    # and no other subcommand builds a matrix either
-    counts = {"TriMatrix": 0, "closed_form_coefficient": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(TriMatrix, "__init__", counted("TriMatrix", TriMatrix.__init__))
-    monkeypatch.setattr(
-        TriMatrix, "_of_rows", classmethod(counted("TriMatrix", TriMatrix._of_rows.__func__))
-    )
-    monkeypatch.setattr(
-        appell, "closed_form_coefficient",
-        counted("closed_form_coefficient", appell.closed_form_coefficient),
-    )
+def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, family):
+    # certify has one route per identity, and every matrix is drawn row by row from its O(m)
+    # rule: the matrices, the closed form and the expansion are the reference route, and no
+    # subcommand in any format loads the module that holds them
     lam = "-4/7" if family == "frobenius-euler" else None
-    for n in range(1, 5):
-        for m in range(13):
-            flags = ["--n", str(n), "--m", str(m), "--family", family, *lambda_flags(lam)]
-            path = tmp_path / f"n{n}_m{m}.json"
-            assert run_main(["gen", *flags, "--output", str(path)]) == (0, "", "")
-            from_flags = run_main(["verify", *flags])
-            assert from_flags[0] == 0 and json.loads(from_flags[1])["ok"] is True
-            assert run_main(["verify", "--input", str(path)]) == from_flags
-    # no other command builds one either: every matrix is drawn row by row from its O(m) rule
+    grid = [["--n", str(n), "--m", str(m), "--family", family, *lambda_flags(lam)]
+            for n in range(1, 5) for m in range(13)]
+    paths = [str(tmp_path / f"seq{i}.json") for i in range(len(grid))]
     point = ["--point", "1/2,-1,2,1/3,4"]
-    commands = [
-        ["eval", *flags, *point], ["eval", "--input", str(path), *point],
+    others = [
+        ["gen", *grid[-1]], ["verify", *grid[-1]], ["verify", "--input", paths[-1]],
+        ["eval", *grid[-1], *point], ["eval", "--input", paths[-1], *point],
         ["exp", "--n", "4", *point, "--order", "12"],
         ["matrices", "--m", "12"], ["matrices", "--m", "12", "--tilde", "--n", "3", "--shift", "2"],
         ["matrices", "--m", "12", "--pascal=-3/7"],
     ]
     if family != "canonical":
-        commands.append(["matrices", "--m", "12", "--family", family, *lambda_flags(lam)])
-    for argv in commands:
-        for fmt in ("json", "csv", "pretty"):
-            assert run_main([*argv, "--format", fmt])[0] == 0, (argv, fmt)
-    assert counts == {"TriMatrix": 0, "closed_form_coefficient": 0}
-    creation_matrix(2)  # the counter's positive control
-    assert counts["TriMatrix"] == 1
+        others.append(["matrices", "--m", "12", "--family", family, *lambda_flags(lam)])
+    formatted = [[*argv, "--format", fmt] for argv in others
+                 for fmt in (("json", "pretty") if argv[0] == "verify" else ("json", "csv", "pretty"))]
+    commands = ([["gen", *flags, "--output", path] for flags, path in zip(grid, paths)]
+                + [["verify", *flags] for flags in grid]
+                + [["verify", "--input", path] for path in paths] + formatted)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", ROUTE_SCRIPT],
+        input=json.dumps(commands),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    results = [tuple(r) for r in report["results"]]
+    size = len(grid)
+    gens, from_flags, from_input = (results[i * size:(i + 1) * size] for i in range(3))
+    assert gens == [(0, "", "")] * size
+    assert all(status == 0 and json.loads(out)["ok"] is True for status, out, _ in from_flags)
+    assert from_input == from_flags
+    assert [r[0] for r in results[3 * size:]] == [0] * len(formatted), formatted
+    assert "hyperappell.reference" not in report["modules"]
+    assert TRACED_MODULES <= set(report["modules"]), report["modules"]
+    assert report["cached"] is True
+    assert report["lazy"] is True  # the check's positive control
 
 
 @pytest.mark.parametrize(

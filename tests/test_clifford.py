@@ -11,8 +11,8 @@ from hyperappell.clifford import (
     blade_product,
     mask_from_indices,
     mask_to_indices,
-    vector_power,
 )
+from hyperappell.reference import vector_power
 
 from oracles import naive_blade_mul
 

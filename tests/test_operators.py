@@ -16,23 +16,27 @@ from hyperappell.appell import (
     build_family,
     build_phi,
     coefficient_sequence,
-    expand_multivariate,
+    family_members,
+    family_terms,
     vector_power_expansion,
 )
-from hyperappell.clifford import Multivector
-from hyperappell.operators import (
-    certify,
+from hyperappell.clifford import Multivector, Paravector
+from hyperappell.operators import certify, check_intertwining
+from hyperappell.polynomials import CliffordPoly
+from hyperappell.reference import (
+    TriMatrix,
     check_appell,
-    check_intertwining,
     check_monogenic,
     check_xi_derivation,
     cr,
     cr_bar,
+    creation_matrix,
+    derivation_matrix,
     dirac,
+    expand_multivariate,
     partial_x0,
 )
-from hyperappell.polynomials import CliffordPoly
-from hyperappell.trimatrix import TriMatrix, creation_matrix, derivation_entry, derivation_matrix
+from hyperappell.trimatrix import derivation_entry
 
 
 def mono(n, exps, coeff):
@@ -257,6 +261,22 @@ def test_certify_refuses_a_member_past_the_coefficients():
     for members in (polys, iter(polys)):
         with pytest.raises(ValueError, match="member 4 is past the degree m = 3"):
             certify(AppellSequence("canonical", members, coeffs))
+
+
+def test_certify_and_eval_refuse_members_that_end_before_m():
+    # a drawn stream is used up by its first pass, so a second one sees no member at all: that
+    # and a stream cut short are refused, naming the first missing degree, not passed as checked
+    family, coeffs, lam, column = family_terms(2, 5, "bernoulli")
+    point = Paravector(1, (2, 3))
+    drawn = AppellSequence(family, family_members(column, coeffs), coeffs, lam)
+    assert certify(drawn).ok
+    for use in (certify, lambda seq: seq.eval_at(point)):
+        with pytest.raises(ValueError, match="member 0 is missing: the members end before m = 5"):
+            use(drawn)
+        short = build_family(2, 3, family).polys
+        for members in (short, iter(short)):
+            with pytest.raises(ValueError, match="member 4 is missing"):
+                use(AppellSequence(family, members, coeffs, lam))
 
 
 def structure_decisions(seq):

@@ -7,11 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperappell.jsonwriter import write_json
-from hyperappell.rationals import (
-    approximate,
-    double_factorial,
-    parse_rational,
-)
+from hyperappell.rationals import approximate, parse_rational
+
+from oracles import double_factorial
 
 
 def test_parse_integer_and_fraction():

@@ -6,23 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperappell.reference import (
+    TriMatrix,
+    appell_matrix,
+    creation_matrix,
+    derivation_matrix,
+    nilpotent_exp,
+    pascal_matrix,
+    transfer_matrix,
+    tri_inverse,
+)
 from hyperappell.trimatrix import (
     FAMILIES,
     TRANSFER_FAMILIES,
-    TriMatrix,
-    appell_matrix,
     appell_rows,
-    creation_matrix,
     derivation_entry,
-    derivation_matrix,
     egf_reciprocal,
-    nilpotent_exp,
     pascal_column,
-    pascal_matrix,
     subdiagonal_rows,
     transfer_column,
-    transfer_matrix,
-    tri_inverse,
 )
 
 from oracles import (
