@@ -5,15 +5,28 @@ nilpotent creation matrices, transfers them to classical families
 (Bernoulli, Euler, Frobenius-Euler, Hermite), and certifies monogenicity
 and the derivative ladder symbolically, all in rational arithmetic.
 
-Importing the package loads no submodule: each name in `__all__` is looked
+Importing the package runs no submodule: each name in `__all__` is looked
 up in its module on first use (PEP 562), so ``from hyperappell import X``
-reaches every name while a command loads only what it calls.  The
+reaches every name while a command runs only what it calls.  The layers
+`clifford`, `polynomials`, `appell` and `operators` are registered lazily:
+each is in ``sys.modules``, and an attribute of the package, from here on,
+and its source is compiled and run on its first attribute access.  The
 reference route lives in `reference`, which no command imports.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# Registered rather than imported: bench/tracer.py looks every layer up in sys.modules, and
+# `from . import appell` binds the module without running it.
+for _name in ("clifford", "polynomials", "appell", "operators"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _name, _spec
 
 # Each exported name and the submodule that defines it.
 _EXPORTS = {

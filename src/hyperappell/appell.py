@@ -34,8 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .clifford import Multivector, Paravector
-from .polynomials import CliffordPoly
+from . import clifford, polynomials  # run on first use: `gen` and `verify` need neither
 from .rationals import ONE, ZERO, read_rational
 from .trimatrix import FAMILIES, check_dimension, check_lambda, transfer_column
 
@@ -241,7 +240,7 @@ class AppellSequence:
         if k < self.m:
             raise ValueError(f"member {k + 1} is missing: the members end before m = {self.m}")
 
-    def eval_at(self, x: Paravector) -> list[Multivector]:
+    def eval_at(self, x: clifford.Paravector) -> list[clifford.Multivector]:
         if x.n != self.n:
             raise ValueError(f"point has dimension {x.n}, sequence has {self.n}")
         return [eval_poly(p, x) for p in self.members()]
@@ -420,7 +419,7 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def vector_power_expansion(n: int, j: int) -> CliffordPoly:
+def vector_power_expansion(n: int, j: int) -> polynomials.CliffordPoly:
     """The j-th power of the vector variable as an explicit polynomial.
 
     Even powers expand (-(x1^2 + ... + xn^2))^(j/2) multinomially into
@@ -433,7 +432,7 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
     half = j // 2
     sign = ONE if half % 2 == 0 else -ONE
     # Distinct (combo, k) give distinct monomials: k is the one odd exponent.
-    terms: dict[tuple[int, ...], Multivector] = {}
+    terms: dict[tuple[int, ...], clifford.Multivector] = {}
     for combo in _weak_compositions(half, n):
         weight = math.factorial(half)
         for part in combo:
@@ -441,20 +440,20 @@ def vector_power_expansion(n: int, j: int) -> CliffordPoly:
         coeff = sign * weight
         exps_vec = tuple(2 * b for b in combo)
         if j % 2 == 0:
-            terms[(0,) + exps_vec] = Multivector.scalar(n, coeff)
+            terms[(0,) + exps_vec] = clifford.Multivector.scalar(n, coeff)
         else:
             for k in range(1, n + 1):
                 exps = (0,) + tuple(
                     e + (1 if idx == k else 0)
                     for idx, e in enumerate(exps_vec, start=1)
                 )
-                terms[exps] = Multivector.generator(n, k) * coeff
-    poly = CliffordPoly(n, terms)
+                terms[exps] = clifford.Multivector.generator(n, k) * coeff
+    poly = polynomials.CliffordPoly(n, terms)
     poly.terms = MappingProxyType(poly.terms)
     return poly
 
 
-def eval_poly(poly: AppellPoly, x: Paravector) -> Multivector:
+def eval_poly(poly: AppellPoly, x: clifford.Paravector) -> clifford.Multivector:
     """Exact value sum_{(i,j)} a_{ij} x0^i v^j at a rational paravector.
 
     Evaluated in binary form: x0 and v commute and v^2 = -|v|^2 is a
@@ -476,11 +475,13 @@ def eval_poly(poly: AppellPoly, x: Paravector) -> Multivector:
     return _paravector_value(x, *parts)
 
 
-def _paravector_value(x: Paravector, scalar: Fraction, vec_coeff: Fraction) -> Multivector:
+def _paravector_value(
+    x: clifford.Paravector, scalar: Fraction, vec_coeff: Fraction
+) -> clifford.Multivector:
     """scalar + vec_coeff * v as a multivector; the constructor drops zero terms."""
     terms = {1 << (k - 1): vec_coeff * v for k, v in enumerate(x.vec, start=1)}
     terms[0] = scalar
-    return Multivector(x.n, terms)
+    return clifford.Multivector(x.n, terms)
 
 
 def restrict_poly(poly: AppellPoly) -> list[Fraction]:
@@ -493,7 +494,7 @@ def restrict_poly(poly: AppellPoly) -> list[Fraction]:
     return out
 
 
-def exp_truncated(x: Paravector, order: int) -> Multivector:
+def exp_truncated(x: clifford.Paravector, order: int) -> clifford.Multivector:
     """Truncation of the generalized exponential: sum_{k<=order} phi_k(x) / k!.
 
     Uses the basic sequence normalized to c_0 = 1.  On the real line

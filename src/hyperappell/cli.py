@@ -28,21 +28,12 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from .appell import (
-    FAMILIES,
-    AppellSequence,
-    exp_truncated,
-    family_members,
-    family_terms,
-    member_text,
-    sequence_json,
-    transferred_terms,
-)
-from .clifford import Multivector, Paravector, mask_to_indices
-from .operators import VerifyReport, certify
+# appell, clifford and operators run on first use (see the package docstring): `matrices` runs none
+from . import appell, clifford, operators
 from .jsonwriter import write_json
 from .rationals import approximate, read_rational
 from .trimatrix import (
+    FAMILIES,
     TRANSFER_FAMILIES,
     appell_rows,
     check_dimension,
@@ -111,14 +102,14 @@ def _triangle(m: int) -> int:
     return (m + 1) * (m + 2) // 2
 
 
-def _parse_point(text: str, n: int) -> Paravector:
+def _parse_point(text: str, n: int) -> clifford.Paravector:
     parts = text.split(",")
     if len(parts) != n + 1:
         raise ValueError(
             f"--point needs {n + 1} comma-separated components (x0..x{n}), got {len(parts)}"
         )
     coords = [read_rational(p, "--point") for p in parts]
-    return Paravector(coords[0], tuple(coords[1:]))
+    return clifford.Paravector(coords[0], tuple(coords[1:]))
 
 
 def _csv(header: list[str], rows, with_float: bool):
@@ -150,7 +141,7 @@ def _emit(out, output: str | None) -> None:
         raise ValueError(f"cannot write {output}: {exc}") from None
 
 
-def _mv_json(mv: Multivector, with_float: bool) -> dict:
+def _mv_json(mv: clifford.Multivector, with_float: bool) -> dict:
     payload = mv.to_json()
     if with_float:
         for term, (_, coeff) in zip(payload["terms"], mv.sorted_terms()):
@@ -158,10 +149,10 @@ def _mv_json(mv: Multivector, with_float: bool) -> dict:
     return payload
 
 
-def _mv_rows(mv: Multivector) -> list[list]:
+def _mv_rows(mv: clifford.Multivector) -> list[list]:
     """One (blade label, exact coefficient) CSV row per term."""
     return [
-        ["e" + "".join(map(str, mask_to_indices(mask))) if mask else "1", coeff]
+        ["e" + "".join(map(str, clifford.mask_to_indices(mask))) if mask else "1", coeff]
         for mask, coeff in mv.sorted_terms()
     ]
 
@@ -185,10 +176,10 @@ def _build_flags(args) -> dict:
     return {"n": args.n, "m": args.m, **given}
 
 
-def _load_sequence(args) -> AppellSequence:
+def _load_sequence(args) -> appell.AppellSequence:
     if args.input is None:
-        family, coeffs, lam, column = family_terms(**_build_flags(args))
-        return AppellSequence(family, family_members(column, coeffs), coeffs, lam)
+        family, coeffs, lam, column = appell.family_terms(**_build_flags(args))
+        return appell.AppellSequence(family, appell.family_members(column, coeffs), coeffs, lam)
     if args.n is not None or args.m is not None:
         raise ValueError("--input replaces --n/--m; give one or the other")
     for key, flag in BUILD_FLAGS.items():
@@ -217,7 +208,7 @@ def _load_sequence(args) -> AppellSequence:
     try:
         # the text goes before the terms are loaded
         payload, text = json.loads(text), None
-        seq = AppellSequence.from_json(payload)
+        seq = appell.AppellSequence.from_json(payload)
     except RecursionError:
         raise ValueError(f"{args.input} is not a valid sequence file: nested too deeply")
     except ValueError as exc:
@@ -232,23 +223,24 @@ def _load_sequence(args) -> AppellSequence:
 
 
 def cmd_gen(args) -> int:
-    family, coeffs, lam, column = family_terms(**_build_flags(args))
+    family, coeffs, lam, column = appell.family_terms(**_build_flags(args))
     _check_digits(column, coeffs.values)
     if args.format == "json":
-        out = sequence_json(family, coeffs, lam, transferred_terms(column, coeffs), array=iter)
+        members = appell.transferred_terms(column, coeffs)
+        out = appell.sequence_json(family, coeffs, lam, members, array=iter)
         if args.float:
             out["coeffs_approx"] = [approximate(c, "--float") for c in coeffs.values]
     elif args.format == "csv":
         rows = lambda: ((k, i, j, a)
-                        for k, member in enumerate(transferred_terms(column, coeffs))
+                        for k, member in enumerate(appell.transferred_terms(column, coeffs))
                         for (i, j), a in member)
         out = _csv(["k", "i", "j", "a"], rows, args.float)
     else:
         head = f"family: {family}  n: {coeffs.n}  m: {coeffs.m}  s: {coeffs.shift}\n"
         head += "" if lam is None else f"lambda: {lam}\n"
         head += "coeffs: " + ", ".join(map(str, coeffs.values)) + "\n"
-        members = transferred_terms(column, coeffs)
-        out = chain([head], (f"phi_{k} = {member_text(t)}\n" for k, t in enumerate(members)))
+        members = appell.transferred_terms(column, coeffs)
+        out = chain([head], (f"phi_{k} = {appell.member_text(t)}\n" for k, t in enumerate(members)))
     _emit(out, args.output)
     return 0
 
@@ -257,7 +249,7 @@ def _pretty_flag(value: bool | None) -> str:
     return "-" if value is None else "pass" if value else "FAIL"
 
 
-def _pretty_report(report: VerifyReport, m: int) -> str:
+def _pretty_report(report: operators.VerifyReport, m: int) -> str:
     lines = [f"family: {report.family}  n: {report.n}  m: {m}  s: {report.shift}"]
     for check in report.results:
         lines.append(
@@ -266,7 +258,7 @@ def _pretty_report(report: VerifyReport, m: int) -> str:
         )
         if check.witness is not None:
             exps = ",".join(str(e) for e in check.witness["exponents"])
-            coeff = Multivector.from_json(check.witness["coeff"])
+            coeff = clifford.Multivector.from_json(check.witness["coeff"])
             lines.append(f"    witness: x^({exps}) * ({coeff})")
     if report.intertwining is not None:
         lines.append(f"intertwining: {_pretty_flag(report.intertwining)}")
@@ -276,7 +268,7 @@ def _pretty_report(report: VerifyReport, m: int) -> str:
 
 def cmd_verify(args) -> int:
     seq = _load_sequence(args)
-    report = certify(seq)
+    report = operators.certify(seq)
     out = report.to_json() if args.format == "json" else _pretty_report(report, seq.m)
     _emit(out, args.output)
     return 0 if report.ok else 1
@@ -370,7 +362,7 @@ def cmd_exp(args) -> int:
     # the sum of phi_0..phi_T in T+1 steps on c_j and x0^i / i!, of up to O(T log T) digits
     _check_size("--order", args.order, _triangle(args.order), "terms")
     point = _parse_point(args.point, args.n)
-    value = exp_truncated(point, args.order)
+    value = appell.exp_truncated(point, args.order)
     _check_values([value])
     if args.format == "json":
         out = {

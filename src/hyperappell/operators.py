@@ -40,8 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .appell import AppellPoly, AppellSequence, CoeffSequence
-from .clifford import Multivector
+from . import appell, clifford  # run on first use: clifford only for a witness
 from .rationals import ZERO
 from .trimatrix import check_dimension, derivation_entry
 
@@ -103,7 +102,7 @@ class VerifyReport(
         return out
 
 
-def check_intertwining(coeffs: CoeffSequence) -> bool:
+def check_intertwining(coeffs: appell.CoeffSequence) -> bool:
     """H D_c + D_c Ht = 0 for the degrees 0..m, with n, s and m those of `coeffs`.
 
     H and Ht each have one nonzero subdiagonal and D_c is diagonal, so the
@@ -116,7 +115,7 @@ def check_intertwining(coeffs: CoeffSequence) -> bool:
     return all(i * c[i - 1] + c[i] * derivation_entry(n, i, s) == 0 for i in range(1, len(c)))
 
 
-def _binary_cr(poly: AppellPoly, n: int, sign: int) -> AppellPoly:
+def _binary_cr(poly: appell.AppellPoly, n: int, sign: int) -> appell.AppellPoly:
     """(d/dx0 + sign * Dv) / 2 on the (i, j) terms of poly: Dv v^j = Ht[j, j-1] v^(j-1)."""
     terms: dict[tuple[int, int], Fraction] = {}
     for (i, j), a in poly.terms.items():
@@ -124,10 +123,10 @@ def _binary_cr(poly: AppellPoly, n: int, sign: int) -> AppellPoly:
             terms[(i - 1, j)] = terms.get((i - 1, j), ZERO) + i * a
         if j:
             terms[(i, j - 1)] = terms.get((i, j - 1), ZERO) + sign * derivation_entry(n, j) * a
-    return AppellPoly(poly.degree, terms) * HALF
+    return appell.AppellPoly(poly.degree, terms) * HALF
 
 
-def _binary_witness(residual: AppellPoly, n: int) -> dict:
+def _binary_witness(residual: appell.AppellPoly, n: int) -> dict:
     """Graded-lex leading term of the residual expanded over x0..xn.
 
     x0^i v^j expands into monomials of x0-degree i and total degree i+j; the
@@ -135,11 +134,11 @@ def _binary_witness(residual: AppellPoly, n: int) -> dict:
     """
     i, j = min(residual.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))
     coeff = residual.terms[(i, j)] * (-1) ** (j // 2)
-    blade = Multivector.blade(n, (n,) if j % 2 else (), coeff)
+    blade = clifford.Multivector.blade(n, (n,) if j % 2 else (), coeff)
     return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": blade.to_json()}
 
 
-def _multiples(poly: AppellPoly, k: int, entries: list[int]):
+def _multiples(poly: appell.AppellPoly, k: int, entries: list[int]):
     """alpha_0..alpha_k with poly = sum_l alpha_l phi_l, or None if poly is no such sum.
 
     alpha_l is poly's x0^l coefficient.  A part with alpha_l != 0 must hold all
@@ -177,7 +176,7 @@ def _passes_by_structure(k: int, a: list[Fraction] | None, prev: list[Fraction] 
     )
 
 
-def certify(seq: AppellSequence) -> VerifyReport:
+def certify(seq: appell.AppellSequence) -> VerifyReport:
     """Full certificate: monogenicity, ladder, and the coefficient identity.
 
     A degree passes by structure, each term of a part following from its
@@ -203,7 +202,7 @@ def certify(seq: AppellSequence) -> VerifyReport:
             else:
                 monogenic = _binary_cr(poly, seq.n, 1)
                 # degree 0 holds vacuously, as in check_appell
-                ladder = _binary_cr(poly, seq.n, -1) + prev * -k if k else AppellPoly(0)
+                ladder = _binary_cr(poly, seq.n, -1) + prev * -k if k else appell.AppellPoly(0)
                 # the first nonzero residual gives the witness: monogenic before ladder
                 failed = next((r for r in (monogenic, ladder) if not r.is_zero()), None)
                 witness = None if failed is None else _binary_witness(failed, seq.n)

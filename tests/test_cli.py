@@ -29,6 +29,7 @@ from hyperappell import (
     coefficient_sequence,
     creation_matrix,
     derivation_matrix,
+    operators,
     pascal_matrix,
     transfer_matrix,
 )
@@ -1084,6 +1085,90 @@ def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, family):
     assert report["lazy"] is True  # the check's positive control
 
 
+# Runs one CLI command in a fresh interpreter and prints the package modules it ran, in order.
+# An import runs a module's code object through exec, which raises the "exec" audit event with
+# or without a __pycache__; -X importtime misses a lazily run module, and the "compile" event
+# misses a module loaded from its cache.
+EXEC_SCRIPT = """
+import contextlib, io, json, os, sys
+
+package = os.path.join(sys.argv[1], "")
+ran = []
+
+
+def record(event, args):
+    if event == "exec" and getattr(args[0], "co_filename", "").startswith(package):
+        ran.append(os.path.splitext(os.path.relpath(args[0].co_filename, package))[0])
+
+
+sys.addaudithook(record)
+import hyperappell.cli
+
+registered = sorted(name for name in sys.modules if name.startswith("hyperappell"))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    status = hyperappell.cli.main(sys.argv[2:])
+print(json.dumps({"status": status, "ran": ran, "registered": registered}))
+"""
+# What every command runs: the package, the CLI and its parser's needs.
+STARTUP_MODULES = {"__init__", "cli", "jsonwriter", "rationals", "trimatrix"}
+POINT = ["--point", "1/2,-1,2"]
+FE = ["--family", "frobenius-euler", "--lambda=-4/7"]
+MATRICES = [["matrices", "--m", m, *flags] for m in ("0", "12")
+            for flags in ([], ["--tilde", "--n", "2"], ["--pascal=-3/7"], FE)]
+GEN = ["gen", "--n", "2", "--m", "12", *FE]
+VERIFY = ["verify", "--n", "2", "--m", "12", *FE]
+EVAL = ["eval", "--n", "2", "--m", "12", *FE, *POINT]
+EXP = ["exp", "--n", "2", *POINT, "--order", "12"]
+
+
+def _formats(*commands, formats=("json", "csv", "pretty")):
+    return [[*argv, "--format", fmt] for argv in commands for fmt in formats]
+
+
+# (status, the modules each command runs past STARTUP_MODULES, argv); {good} and {bad} are a
+# gen file and a copy with one term changed, whose failure witness is a multivector
+RUN_CASES = (
+    [(0, set(), argv) for argv in _formats(*MATRICES)
+     + [[*MATRICES[-1], "--float"], [*MATRICES[-1], "--format", "csv", "--float"]]]
+    + [(0, {"appell"}, argv) for argv in _formats(GEN)
+       + [[*GEN, "--float"], ["gen", "--n", "2", "--m", "3", "--output", "{out}"]]]
+    + [(0, {"appell", "operators"}, argv)
+       for argv in _formats(VERIFY, formats=("json", "pretty")) + [["verify", "--input", "{good}"]]]
+    + [(1, {"appell", "operators", "clifford"}, argv)
+       for argv in _formats(["verify", "--input", "{bad}"], formats=("json", "pretty"))]
+    + [(0, {"appell", "clifford"}, argv)
+       for argv in _formats(EVAL, EXP) + [["eval", "--input", "{good}", *POINT]]]
+)
+
+
+@pytest.mark.parametrize(
+    "status, runs, argv", [pytest.param(*case, id=" ".join(case[2])) for case in RUN_CASES])
+def test_each_command_runs_only_the_modules_it_calls(tmp_path, status, runs, argv):
+    # clifford, polynomials, appell and operators are registered lazily: a command compiles and
+    # runs only those it calls, none for matrices, while bench/tracer.py still finds every layer
+    # in sys.modules right after importing the CLI
+    payload = build_family(2, 3).to_json()
+    (tmp_path / "good.json").write_text(json.dumps(payload))
+    payload["polys"][3]["terms"][0]["a"] += "1"
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("good", "bad", "out")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", EXEC_SCRIPT, str(SRC / PKG),
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == status
+    assert report["ran"][:2] == ["__init__", "cli"]
+    assert set(report["ran"]) == STARTUP_MODULES | runs, report["ran"]
+    assert len(report["ran"]) == len(set(report["ran"]))
+    assert TRACED_MODULES <= set(report["registered"]), report["registered"]
+    assert "hyperappell.reference" not in report["registered"]
+
+
 @pytest.mark.parametrize(
     "args, estimate, unit",
     [
@@ -1337,7 +1422,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(seq):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(cli, "certify", broken)
+    monkeypatch.setattr(operators, "certify", broken)
     assert cli.main(["verify", "--n", "2", "--m", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "injected" in err
