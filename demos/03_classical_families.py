@@ -9,7 +9,7 @@ Restricting to the real line recovers the classical polynomials.
 
 from fractions import Fraction
 
-from hyperappell import build_family, transfer_matrix
+from hyperappell import build_family, restrict_real, transfer_matrix
 
 # The Bernoulli transfer is the inverse of sum H^k / (k+1)!.  Its first
 # column lists the Bernoulli numbers.
@@ -33,7 +33,7 @@ for k, poly in enumerate(seq.polys):
 # On the real line (v = 0) only the x0 powers survive and the classical
 # real polynomials appear, independent of n.
 def show_restricted(family: str, symbol: str, lam: Fraction | None = None) -> None:
-    rows = build_family(3, 4, family, lam=lam).restrict_real()
+    rows = restrict_real(build_family(3, 4, family, lam=lam))
     for k, row in enumerate(rows):
         terms = [f"{a}*x^{i}" for i, a in enumerate(row) if a]
         print(f"{symbol}_{k}(x) =", " + ".join(terms) if terms else "0")

@@ -12,6 +12,13 @@ reaches every name while a command runs only what it calls.  The layers
 each is in ``sys.modules``, and an attribute of the package, from here on,
 and its source is compiled and run on its first attribute access.  The
 reference route lives in `reference`, which no command imports.
+
+`seqfile` (the file layout of `gen` and `--input`), `evaluate` (values at
+a point, for `eval` and `exp`) and the `cli_*` handler modules import as
+usual, where they are used: `cli.main` imports the handler of the one
+subcommand it runs.  So a command compiles no code for another concern,
+and no module it runs passes 400 lines, since the peak memory of
+compiling a module grows with its length.
 """
 
 import importlib.util
@@ -37,12 +44,14 @@ _EXPORTS = {
     "build_family": "appell",
     "build_phi": "appell",
     "coefficient_sequence": "appell",
-    "eval_poly": "appell",
-    "exp_truncated": "appell",
     "family_members": "appell",
     "family_terms": "appell",
-    "restrict_poly": "appell",
     "vector_power_expansion": "appell",
+    "eval_at": "evaluate",
+    "eval_poly": "evaluate",
+    "exp_truncated": "evaluate",
+    "restrict_poly": "evaluate",
+    "restrict_real": "evaluate",
     "Multivector": "clifford",
     "Paravector": "clifford",
     "blade_product": "clifford",

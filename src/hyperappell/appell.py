@@ -35,7 +35,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import clifford, polynomials  # run on first use: `gen` and `verify` need neither
-from .rationals import ONE, ZERO, read_rational
+from .rationals import ONE, ZERO
 from .trimatrix import FAMILIES, check_dimension, check_lambda, transfer_column
 
 
@@ -166,31 +166,20 @@ class AppellPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][1]))
 
     def __str__(self) -> str:
+        from .seqfile import member_text  # the text `gen --format pretty` prints
+
         return member_text(self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"AppellPoly(degree={self.degree}, {self})"
 
 
-def member_text(terms) -> str:
-    """A member as text, from its ((i, j), a) in `sorted_terms` order; "0" when there are none."""
-    pieces = []
-    for (i, j), a in terms:
-        factors = [str(abs(a))] if abs(a) != 1 or i == j == 0 else []
-        if i:
-            factors.append("x0" if i == 1 else f"x0^{i}")
-        if j:
-            factors.append("xv" if j == 1 else f"xv^{j}")
-        pieces.append((" - " if a < 0 else " + ") if pieces else ("-" if a < 0 else ""))
-        pieces.append("*".join(factors))
-    return "".join(pieces) or "0"
-
-
 class AppellSequence:
     """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n, s and m live in coeffs.
 
     `polys` is any iterable of the members in degree order, such as a list or
-    `family_members`; `certify`, `eval_at` and `to_json` each draw it once, through `members`.
+    `family_members`; `certify`, `evaluate.eval_at` and `to_json` each draw it once, through
+    `members`.
     """
 
     def __init__(
@@ -240,97 +229,12 @@ class AppellSequence:
         if k < self.m:
             raise ValueError(f"member {k + 1} is missing: the members end before m = {self.m}")
 
-    def eval_at(self, x: clifford.Paravector) -> list[clifford.Multivector]:
-        if x.n != self.n:
-            raise ValueError(f"point has dimension {x.n}, sequence has {self.n}")
-        return [eval_poly(p, x) for p in self.members()]
-
-    def restrict_real(self) -> list[list[Fraction]]:
-        """Set the vector part to zero; ascending x0 coefficients per degree."""
-        return [restrict_poly(p) for p in self.members()]
-
     def to_json(self) -> dict:
+        """The `gen` JSON of this sequence; `seqfile.from_json` loads it back."""
+        from .seqfile import sequence_json
+
         members = (poly.sorted_terms() for poly in self.members())
         return sequence_json(self.family, self.coeffs, self.lam, members)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "AppellSequence":
-        """Load a `to_json` payload, refusing (ValueError) one no builder could produce.
-
-        The header must pass `check_header`, c_0..c_m be those of n, s and c_0,
-        and a shifted file, which `certify` checks only by intertwining, hold
-        exactly `build_phi(coeffs)`.
-        """
-        n = _json_get(payload, "n", int)
-        shift = _json_get(payload, "s", int, default=0)
-        family = _json_get(payload, "family", str)
-        lam = payload.get("lambda")
-        lam = None if lam is None else read_rational(lam, "lambda")
-        check_header(family, lam, shift)
-        values = tuple(read_rational(c, "coefficient") for c in _json_get(payload, "coeffs", list))
-        polys = []
-        entries = _json_get(payload, "polys", list)
-        for entry in sorted(entries, key=lambda e: _json_get(e, "k", int)):
-            k = entry["k"]
-            if k != len(polys):
-                raise ValueError(f"polynomial degrees must cover 0..m, missing {len(polys)}")
-            terms = {}
-            for term in _json_get(entry, "terms", list):
-                key = (_json_get(term, "i", int), _json_get(term, "j", int))
-                if key[0] + key[1] > k:
-                    raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
-                a = read_rational(term.get("a"), "term coefficient")
-                terms[key] = terms[key] + a if key in terms else a
-            polys.append(AppellPoly(k, terms))
-        if not polys:
-            raise ValueError("sequence must contain at least degree 0")
-        m = len(polys) - 1
-        if _json_get(payload, "m", int) != m:
-            raise ValueError(f"m is {payload['m']}, but the polynomials cover degrees 0..{m}")
-        coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
-        if coeffs.values != values:
-            raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
-        if shift and polys != build_phi(coeffs).polys:
-            raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
-        return cls(family=family, polys=polys, coeffs=coeffs, lam=lam)
-
-
-_JSON_NAMES = {list: "a list", str: "a string", int: "an integer"}
-
-
-def _json_get(node, key: str, kind: type, default=None):
-    """node[key] of exactly type `kind`, so no bool or float passes as an integer."""
-    if type(node) is not dict:
-        raise ValueError(f"expected an object holding {key!r}, got {type(node).__name__}")
-    if key not in node and default is None:
-        raise ValueError(f"missing key {key!r}")
-    value = node.get(key, default)
-    if type(value) is not kind:
-        raise ValueError(f"{key} must be {_JSON_NAMES[kind]}, got {type(value).__name__}")
-    return value
-
-
-def sequence_json(
-    family: str, coeffs: CoeffSequence, lam: Fraction | None, members, array=list
-) -> dict:
-    """The one JSON layout of a sequence, built or streamed.
-
-    `members` yields, for k = 0..m, member k's ((i, j), a) in `sorted_terms`
-    order.  `array=iter` leaves the member and term arrays lazy, so a
-    streaming writer draws one term at a time.
-    """
-    return {
-        "n": coeffs.n,
-        "family": family,
-        "lambda": None if lam is None else str(lam),
-        "s": coeffs.shift,
-        "m": coeffs.m,
-        "coeffs": [str(c) for c in coeffs.values],
-        "polys": array(
-            {"k": k, "terms": array({"i": i, "j": j, "a": str(a)} for (i, j), a in terms)}
-            for k, terms in enumerate(members)
-        ),
-    }
 
 
 def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[Iterator]:
@@ -451,75 +355,3 @@ def vector_power_expansion(n: int, j: int) -> polynomials.CliffordPoly:
     poly = polynomials.CliffordPoly(n, terms)
     poly.terms = MappingProxyType(poly.terms)
     return poly
-
-
-def eval_poly(poly: AppellPoly, x: clifford.Paravector) -> clifford.Multivector:
-    """Exact value sum_{(i,j)} a_{ij} x0^i v^j at a rational paravector.
-
-    Evaluated in binary form: x0 and v commute and v^2 = -|v|^2 is a
-    rational, so the value is A + B v for two rationals.  The terms of
-    each vector exponent j sum to sum_i a x0^i, with the powers of x0
-    built one step at a time; that sum, times (-|v|^2)^(j//2), goes to A
-    for even j and to B for odd j.  No Clifford product is formed.
-    """
-    powers = [ONE]  # x0^0, x0^1, ...
-    sums: dict[int, Fraction] = {}
-    for (i, j), a in poly.terms.items():
-        while len(powers) <= i:
-            powers.append(powers[-1] * x.x0)
-        sums[j] = sums.get(j, ZERO) + a * powers[i]
-    square = -x.vector_norm_sq()
-    parts = [ZERO, ZERO]  # A, B
-    for j, total in sums.items():
-        parts[j % 2] += total * square ** (j // 2)
-    return _paravector_value(x, *parts)
-
-
-def _paravector_value(
-    x: clifford.Paravector, scalar: Fraction, vec_coeff: Fraction
-) -> clifford.Multivector:
-    """scalar + vec_coeff * v as a multivector; the constructor drops zero terms."""
-    terms = {1 << (k - 1): vec_coeff * v for k, v in enumerate(x.vec, start=1)}
-    terms[0] = scalar
-    return clifford.Multivector(x.n, terms)
-
-
-def restrict_poly(poly: AppellPoly) -> list[Fraction]:
-    """Coefficients in x0 (ascending) after setting the vector part to zero."""
-    degree = max((i for (i, j) in poly.terms if j == 0), default=0)
-    out = [ZERO] * (degree + 1)
-    for (i, j), a in poly.terms.items():
-        if j == 0:
-            out[i] = a
-    return out
-
-
-def exp_truncated(x: clifford.Paravector, order: int) -> clifford.Multivector:
-    """Truncation of the generalized exponential: sum_{k<=order} phi_k(x) / k!.
-
-    Uses the basic sequence normalized to c_0 = 1.  On the real line
-    (zero vector part) this reduces to the truncated real exponential
-    series; for n = 1 it reproduces truncated complex exponentials.
-    Evaluated in binary form with O(order) rational operations: the sum
-    regroups as sum_j c_j v^j / j! * E_(order-j)(x0), where
-    E_r = sum_{i<=r} x0^i / i! is a running prefix sum, and the value is
-    A + B v as in `eval_poly`.
-    """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    c = coefficient_sequence(x.n, order).values
-    prefix = [ONE]  # E_0(x0), E_1(x0), ...
-    term = ONE
-    for i in range(1, order + 1):
-        term = term * x.x0 / i
-        prefix.append(prefix[-1] + term)
-    square = -x.vector_norm_sq()
-    parts = [ZERO, ZERO]  # A, B
-    weight = ONE  # (-|v|^2)^(j//2) / j!
-    for j in range(order + 1):
-        if j:
-            weight /= j
-            if j % 2 == 0:
-                weight *= square
-        parts[j % 2] += c[j] * weight * prefix[order - j]
-    return _paravector_value(x, *parts)

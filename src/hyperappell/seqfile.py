@@ -1,0 +1,116 @@
+"""The sequence file layout: the JSON of `gen` and `--input`, and the text of a member.
+
+`sequence_json` is the one layout of a sequence, built or streamed;
+`from_json` loads it back and refuses any payload no builder could
+produce.  `member_text` is a member as `gen --format pretty` prints it.
+Of the commands, only `gen` and `--input` run this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .appell import (
+    AppellPoly,
+    AppellSequence,
+    CoeffSequence,
+    build_phi,
+    check_header,
+    coefficient_sequence,
+)
+from .rationals import ONE, read_rational
+
+
+def member_text(terms) -> str:
+    """A member as text, from its ((i, j), a) in `sorted_terms` order; "0" when there are none."""
+    pieces = []
+    for (i, j), a in terms:
+        factors = [str(abs(a))] if abs(a) != 1 or i == j == 0 else []
+        if i:
+            factors.append("x0" if i == 1 else f"x0^{i}")
+        if j:
+            factors.append("xv" if j == 1 else f"xv^{j}")
+        pieces.append((" - " if a < 0 else " + ") if pieces else ("-" if a < 0 else ""))
+        pieces.append("*".join(factors))
+    return "".join(pieces) or "0"
+
+
+def sequence_json(
+    family: str, coeffs: CoeffSequence, lam: Fraction | None, members, array=list
+) -> dict:
+    """The one JSON layout of a sequence, built or streamed.
+
+    `members` yields, for k = 0..m, member k's ((i, j), a) in `sorted_terms`
+    order.  `array=iter` leaves the member and term arrays lazy, so a
+    streaming writer draws one term at a time.
+    """
+    return {
+        "n": coeffs.n,
+        "family": family,
+        "lambda": None if lam is None else str(lam),
+        "s": coeffs.shift,
+        "m": coeffs.m,
+        "coeffs": [str(c) for c in coeffs.values],
+        "polys": array(
+            {"k": k, "terms": array({"i": i, "j": j, "a": str(a)} for (i, j), a in terms)}
+            for k, terms in enumerate(members)
+        ),
+    }
+
+
+def from_json(payload: dict) -> AppellSequence:
+    """Load a `sequence_json` payload, refusing (ValueError) one no builder could produce.
+
+    The header must pass `check_header`, c_0..c_m be those of n, s and c_0,
+    and a shifted file, which `certify` checks only by intertwining, hold
+    exactly `build_phi(coeffs)`.
+    """
+    n = _json_get(payload, "n", int)
+    shift = _json_get(payload, "s", int, default=0)
+    family = _json_get(payload, "family", str)
+    lam = payload.get("lambda")
+    lam = None if lam is None else read_rational(lam, "lambda")
+    check_header(family, lam, shift)
+    values = tuple(read_rational(c, "coefficient") for c in _json_get(payload, "coeffs", list))
+    polys = []
+    entries = _json_get(payload, "polys", list)
+    for entry in sorted(entries, key=lambda e: _json_get(e, "k", int)):
+        k = entry["k"]
+        if 0 <= k < len(polys):
+            raise ValueError(f"polynomial degree {k} is listed more than once")
+        if k != len(polys):
+            raise ValueError(f"polynomial degrees must cover 0..m, missing {len(polys)}")
+        terms = {}
+        for term in _json_get(entry, "terms", list):
+            key = (_json_get(term, "i", int), _json_get(term, "j", int))
+            if key[0] + key[1] > k:
+                raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
+            a = read_rational(term.get("a"), "term coefficient")
+            terms[key] = terms[key] + a if key in terms else a
+        polys.append(AppellPoly(k, terms))
+    if not polys:
+        raise ValueError("sequence must contain at least degree 0")
+    m = len(polys) - 1
+    if _json_get(payload, "m", int) != m:
+        raise ValueError(f"m is {payload['m']}, but the polynomials cover degrees 0..{m}")
+    coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
+    if coeffs.values != values:
+        raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
+    if shift and polys != build_phi(coeffs).polys:
+        raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
+    return AppellSequence(family=family, polys=polys, coeffs=coeffs, lam=lam)
+
+
+_JSON_NAMES = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _json_get(node, key: str, kind: type, default=None):
+    """node[key] of exactly type `kind`, so no bool or float passes as an integer."""
+    if type(node) is not dict:
+        raise ValueError(f"expected an object holding {key!r}, got {type(node).__name__}")
+    if key not in node and default is None:
+        raise ValueError(f"missing key {key!r}")
+    value = node.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_JSON_NAMES[kind]}, got {type(value).__name__}")
+    return value

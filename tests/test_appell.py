@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 from hyperappell.appell import (
     FAMILIES,
     AppellPoly,
-    AppellSequence,
     build_family,
     build_phi,
     coefficient_sequence,
-    eval_poly,
-    exp_truncated,
     family_members,
     family_terms,
-    restrict_poly,
     transferred_terms,
     vector_power_expansion,
 )
 from hyperappell.clifford import Multivector, Paravector
+from hyperappell.evaluate import eval_at, eval_poly, exp_truncated, restrict_poly, restrict_real
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.reference import (
     appell_matrix,
@@ -35,6 +32,7 @@ from hyperappell.reference import (
     tri_inverse,
     vector_power,
 )
+from hyperappell.seqfile import from_json
 from hyperappell.trimatrix import transfer_column
 
 from test_trimatrix import COLUMN_CASES, STREAM_ORDERS, reference_transfer
@@ -268,7 +266,7 @@ def test_eval_matches_clifford_products(n):
     for family, lam, shift in EVAL_SEQUENCES:
         seq = build_family(n, 10, family=family, lam=lam, shift=shift)
         for x in sample_points(rng, n):
-            for poly, value in zip(seq.polys, seq.eval_at(x)):
+            for poly, value in zip(seq.polys, eval_at(seq, x)):
                 assert value.to_json() == eval_by_products(poly, x).to_json(), (family, lam, x)
 
 
@@ -291,7 +289,7 @@ def test_eval_forms_one_power_per_vector_exponent(monkeypatch):
     monkeypatch.setattr(Fraction, "__pow__", lambda a, b: calls.append(b) or power(a, b))
     seq = build_family(3, 24, "frobenius-euler", lam=Fraction(-4, 7))
     x = Paravector(Fraction(-3, 2), (2, 3, 4))
-    values = seq.eval_at(x)
+    values = eval_at(seq, x)
     monkeypatch.undo()
     assert len(calls) <= sum(len({j for _, j in poly.terms}) for poly in seq.polys)
     assert [v.to_json() for v in values] == [eval_by_products(p, x).to_json() for p in seq.polys]
@@ -299,14 +297,14 @@ def test_eval_forms_one_power_per_vector_exponent(monkeypatch):
 
 def test_eval_known_value():
     seq = build_family(2, 1)
-    value = seq.eval_at(Paravector(1, (2, 0)))[1]
+    value = eval_at(seq, Paravector(1, (2, 0)))[1]
     assert value == 1 + Multivector.generator(2, 1)
 
 
 def test_eval_at_origin_kills_positive_degrees():
     seq = build_family(3, 6)
     origin = Paravector(0, (0, 0, 0))
-    values = seq.eval_at(origin)
+    values = eval_at(seq, origin)
     assert values[0] == 1
     assert all(v.is_zero() for v in values[1:])
 
@@ -315,8 +313,8 @@ def test_eval_homogeneity_under_scaling():
     seq = build_family(2, 6)
     x = Paravector(Fraction(1, 3), (Fraction(2), Fraction(-1, 2)))
     t = Fraction(-3, 5)
-    scaled_values = seq.eval_at(x.scaled(t))
-    values = seq.eval_at(x)
+    scaled_values = eval_at(seq, x.scaled(t))
+    values = eval_at(seq, x)
     for k in range(7):
         assert scaled_values[k] == values[k] * t**k
 
@@ -324,14 +322,14 @@ def test_eval_homogeneity_under_scaling():
 def test_eval_dimension_mismatch():
     seq = build_family(2, 3)
     with pytest.raises(ValueError):
-        seq.eval_at(Paravector(1, (1,)))
+        eval_at(seq, Paravector(1, (1,)))
 
 
 def test_complex_reduction_n1():
     seq = build_family(1, 10)
     x = Paravector(Fraction(2, 3), (Fraction(-1, 5),))
     z = x.to_multivector()
-    values = seq.eval_at(x)
+    values = eval_at(seq, x)
     for k in range(11):
         assert values[k] == z**k
 
@@ -345,7 +343,7 @@ def test_complex_reduction_property(x0, x1):
     seq = build_family(1, 6)
     x = Paravector(x0, (x1,))
     z = x.to_multivector()
-    for k, value in enumerate(seq.eval_at(x)):
+    for k, value in enumerate(eval_at(seq, x)):
         assert value == z**k
 
 
@@ -507,7 +505,7 @@ def test_family_validation():
         payload = build_phi(coefficient_sequence(2, 3, shift=shift)).to_json()
         payload.update(family=family, s=shift, **{"lambda": None if lam is None else str(lam)})
         with pytest.raises(ValueError):
-            AppellSequence.from_json(payload)
+            from_json(payload)
 
 
 def test_frobenius_euler_at_minus_one_is_euler():
@@ -522,7 +520,7 @@ def test_frobenius_euler_at_minus_one_is_euler():
 
 def test_restrict_canonical_is_monomials():
     seq = build_family(3, 6)
-    assert seq.restrict_real() == [
+    assert restrict_real(seq) == [
         [Fraction(0)] * k + [Fraction(1)] for k in range(7)
     ]
 
@@ -530,19 +528,19 @@ def test_restrict_canonical_is_monomials():
 def test_restrict_bernoulli_matches_oracle():
     for n in (1, 2, 3):
         seq = build_family(n, 8, family="bernoulli")
-        assert seq.restrict_real() == bernoulli_polys(8)
+        assert restrict_real(seq) == bernoulli_polys(8)
 
 
 def test_restrict_euler_matches_both_oracles():
     seq = build_family(2, 8, family="euler")
-    restricted = seq.restrict_real()
+    restricted = restrict_real(seq)
     assert restricted == euler_polys_inverse(8)
     assert restricted == euler_polys_recurrence(8)
 
 
 def test_restrict_hermite_matches_both_oracles():
     seq = build_family(2, 8, family="hermite")
-    restricted = seq.restrict_real()
+    restricted = restrict_real(seq)
     assert restricted == hermite_polys_series(8)
     assert restricted == hermite_polys_recurrence(8)
 
@@ -560,7 +558,7 @@ def test_restriction_commutes_with_transfer():
         for j in range(k + 1):
             for i, c in enumerate(monomials[j]):
                 expected[i] += transfer[k, j] * c
-        row = seq.restrict_real()[k]
+        row = restrict_real(seq)[k]
         padded = row + [Fraction(0)] * (m + 1 - len(row))
         assert padded == expected
 
@@ -595,7 +593,7 @@ def test_exp_truncated_generating_coefficients():
     n, m = 2, 6
     x = Paravector(Fraction(1, 2), (Fraction(1), Fraction(-2)))
     seq = build_family(n, m)
-    values = seq.eval_at(x)
+    values = eval_at(seq, x)
     for t in (Fraction(1), Fraction(-1, 2), Fraction(3, 7), Fraction(0)):
         direct = exp_truncated(x.scaled(t), m)
         series = Multivector.zero(n)
@@ -617,7 +615,7 @@ def test_sequence_json_round_trip():
         seq = build_family(2, 4, family=family, lam=lam)
         payload = seq.to_json()
         assert payload["n"] == 2 and payload["m"] == 4 and payload["family"] == family
-        clone = AppellSequence.from_json(json.loads(json.dumps(payload)))
+        clone = from_json(json.loads(json.dumps(payload)))
         assert clone.polys == seq.polys
         assert clone.coeffs == seq.coeffs
         assert clone.lam == seq.lam
@@ -625,7 +623,7 @@ def test_sequence_json_round_trip():
 
 def test_sequence_json_shifted_round_trip():
     seq = build_phi(coefficient_sequence(2, 3, shift=2))
-    clone = AppellSequence.from_json(seq.to_json())
+    clone = from_json(seq.to_json())
     assert clone.shift == 2 and clone.coeffs.shift == 2
 
 
@@ -641,7 +639,7 @@ def test_sequence_json_refuses_edited_shifted_terms():
     payload = build_family(2, 3, shift=1).to_json()
     payload["polys"][2]["terms"][0]["a"] = "999"
     with pytest.raises(ValueError, match="build_phi"):
-        AppellSequence.from_json(payload)
+        from_json(payload)
 
 
 def _without(key):
@@ -673,14 +671,14 @@ def _without(key):
 )
 def test_sequence_json_refuses_malformed_payload_with_value_error(edit):
     with pytest.raises(ValueError):
-        AppellSequence.from_json(edit(build_family(2, 3).to_json()))
+        from_json(edit(build_family(2, 3).to_json()))
 
 
 def test_sequence_json_rejects_degree_gaps():
     payload = build_family(2, 2).to_json()
     payload["polys"] = [payload["polys"][0], payload["polys"][2]]
     with pytest.raises(ValueError):
-        AppellSequence.from_json(payload)
+        from_json(payload)
 
 
 def test_appell_poly_str():

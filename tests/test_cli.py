@@ -26,9 +26,11 @@ from hyperappell import (
     build_phi,
     certify,
     cli,
+    cli_sequence,
     coefficient_sequence,
     creation_matrix,
     derivation_matrix,
+    eval_at,
     operators,
     pascal_matrix,
     transfer_matrix,
@@ -277,14 +279,14 @@ def test_input_past_the_byte_budget_exits_2_before_it_is_parsed(tmp_path, monkey
         finally:
             os.close(read)
 
-    monkeypatch.setattr(cli, "INPUT_BUDGET", size)
+    monkeypatch.setattr(cli_sequence, "INPUT_BUDGET", size)
     loaded = run_main([*command, "--input", str(path)])
     assert loaded[0] == 0 and run_piped()[0] == loaded
 
     def refuse(*args, **kwargs):
         raise AssertionError("a file past the budget must not be parsed")
 
-    monkeypatch.setattr(cli, "INPUT_BUDGET", size - 1)
+    monkeypatch.setattr(cli_sequence, "INPUT_BUDGET", size - 1)
     monkeypatch.setattr(json, "loads", refuse)
     budget = f"the --input budget of {size - 1} bytes\n"
     assert run_main([*command, "--input", str(path)]) == (
@@ -360,7 +362,7 @@ def test_every_gen_file_within_the_size_budget_is_within_the_value_bound(family)
     def admitted(m):
         flags = argparse.Namespace(n=3, m=m, family=family, lam=lam, c0=None, shift=None)
         try:
-            cli._build_flags(flags)
+            cli_sequence.build_flags(flags)
         except ValueError:
             return False
         return True
@@ -529,6 +531,25 @@ def test_malformed_input_file_exits_2(tmp_path, command, edit):
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        ([0, 1, 2, 2], "polynomial degree 2 is listed more than once"),
+        ([0, 2], "polynomial degrees must cover 0..m, missing 1"),
+    ],
+    ids=["repeated-degree", "degree-gap"],
+)
+def test_input_degree_list_exits_2_naming_its_fault(tmp_path, degrees, message):
+    # a repeated degree of a gen --n 2 --m 2 file used to be reported as degree 3 missing
+    payload = gen_json("--n", "2", "--m", "2")
+    payload["polys"] = [payload["polys"][k] for k in degrees]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli("verify", "--input", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path} is not a valid sequence file: {message}\n"
 
 
 # -- eval --------------------------------------------------------------------
@@ -1010,7 +1031,7 @@ def test_verify_and_eval_from_flags_build_no_sequence(monkeypatch, family):
     for seq in built:
         flags = ["--n", "3", "--m", str(seq.m), "--family", family, *lambda_flags(lam)]
         assert run_main(["verify", *flags]) == (0, json_text(certify(seq).to_json()), "")
-        values = [{"k": k, "value": mv.to_json()} for k, mv in enumerate(seq.eval_at(point))]
+        values = [{"k": k, "value": mv.to_json()} for k, mv in enumerate(eval_at(seq, point))]
         status, out, err = run_main(["eval", *flags, "--point", "1/2,-1,2,1/3"])
         assert (status, err, json.loads(out)["values"]) == (0, "", values)
 
@@ -1111,6 +1132,10 @@ print(json.dumps({"status": status, "ran": ran, "registered": registered}))
 """
 # What every command runs: the package, the CLI and its parser's needs.
 STARTUP_MODULES = {"__init__", "cli", "jsonwriter", "rationals", "trimatrix"}
+# compile() holds about 3 KB per source line while it runs, so a command's peak memory grows
+# with the largest module it compiles: no module a command runs may be longer than this, counting
+# its docstrings and comments.
+MODULE_LINES = 400
 POINT = ["--point", "1/2,-1,2"]
 FE = ["--family", "frobenius-euler", "--lambda=-4/7"]
 MATRICES = [["matrices", "--m", m, *flags] for m in ("0", "12")
@@ -1125,28 +1150,36 @@ def _formats(*commands, formats=("json", "csv", "pretty")):
     return [[*argv, "--format", fmt] for argv in commands for fmt in formats]
 
 
-# (status, the modules each command runs past STARTUP_MODULES, argv); {good} and {bad} are a
-# gen file and a copy with one term changed, whose failure witness is a multivector
+# The modules each command runs past STARTUP_MODULES: its handler's, and what that calls.
+MATRICES_RUNS = {"cli_matrices", "cli_digits"}
+GEN_RUNS = {"cli_gen", "cli_digits", "cli_sequence", "seqfile", "appell"}
+VERIFY_RUNS = {"cli_verify", "cli_sequence", "appell", "operators"}
+EXP_RUNS = {"cli_evaluate", "cli_digits", "evaluate", "appell", "clifford"}
+EVAL_RUNS = EXP_RUNS | {"cli_sequence"}
+# (status, those modules, argv); {good} and {bad} are a gen file and a copy with one term
+# changed, whose failure witness is a multivector; only --input runs the file reader, seqfile
 RUN_CASES = (
-    [(0, set(), argv) for argv in _formats(*MATRICES)
+    [(0, MATRICES_RUNS, argv) for argv in _formats(*MATRICES)
      + [[*MATRICES[-1], "--float"], [*MATRICES[-1], "--format", "csv", "--float"]]]
-    + [(0, {"appell"}, argv) for argv in _formats(GEN)
+    + [(0, GEN_RUNS, argv) for argv in _formats(GEN)
        + [[*GEN, "--float"], ["gen", "--n", "2", "--m", "3", "--output", "{out}"]]]
-    + [(0, {"appell", "operators"}, argv)
-       for argv in _formats(VERIFY, formats=("json", "pretty")) + [["verify", "--input", "{good}"]]]
-    + [(1, {"appell", "operators", "clifford"}, argv)
+    + [(0, VERIFY_RUNS, argv) for argv in _formats(VERIFY, formats=("json", "pretty"))]
+    + [(0, VERIFY_RUNS | {"seqfile"}, ["verify", "--input", "{good}"])]
+    + [(1, VERIFY_RUNS | {"seqfile", "clifford"}, argv)
        for argv in _formats(["verify", "--input", "{bad}"], formats=("json", "pretty"))]
-    + [(0, {"appell", "clifford"}, argv)
-       for argv in _formats(EVAL, EXP) + [["eval", "--input", "{good}", *POINT]]]
+    + [(0, EVAL_RUNS, argv) for argv in _formats(EVAL)]
+    + [(0, EVAL_RUNS | {"seqfile"}, ["eval", "--input", "{good}", *POINT])]
+    + [(0, EXP_RUNS, argv) for argv in _formats(EXP)]
 )
 
 
 @pytest.mark.parametrize(
     "status, runs, argv", [pytest.param(*case, id=" ".join(case[2])) for case in RUN_CASES])
 def test_each_command_runs_only_the_modules_it_calls(tmp_path, status, runs, argv):
-    # clifford, polynomials, appell and operators are registered lazily: a command compiles and
-    # runs only those it calls, none for matrices, while bench/tracer.py still finds every layer
-    # in sys.modules right after importing the CLI
+    # clifford, polynomials, appell and operators are registered lazily and the handlers are
+    # imported by the subcommand that runs them: a command compiles and runs only what it calls,
+    # no layer for matrices, while bench/tracer.py still finds every layer in sys.modules right
+    # after importing the CLI
     payload = build_family(2, 3).to_json()
     (tmp_path / "good.json").write_text(json.dumps(payload))
     payload["polys"][3]["terms"][0]["a"] += "1"
@@ -1165,6 +1198,8 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path, status, runs, arg
     assert report["ran"][:2] == ["__init__", "cli"]
     assert set(report["ran"]) == STARTUP_MODULES | runs, report["ran"]
     assert len(report["ran"]) == len(set(report["ran"]))
+    lines = {name: len((SRC / PKG / f"{name}.py").read_text().splitlines()) for name in report["ran"]}
+    assert max(lines.values()) <= MODULE_LINES, lines
     assert TRACED_MODULES <= set(report["registered"]), report["registered"]
     assert "hyperappell.reference" not in report["registered"]
 

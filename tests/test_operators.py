@@ -21,6 +21,7 @@ from hyperappell.appell import (
     vector_power_expansion,
 )
 from hyperappell.clifford import Multivector, Paravector
+from hyperappell.evaluate import eval_at, restrict_real
 from hyperappell.operators import certify, check_intertwining
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.reference import (
@@ -270,7 +271,7 @@ def test_certify_and_eval_refuse_members_that_end_before_m():
     point = Paravector(1, (2, 3))
     drawn = AppellSequence(family, family_members(column, coeffs), coeffs, lam)
     assert certify(drawn).ok
-    for use in (certify, lambda seq: seq.eval_at(point)):
+    for use in (certify, lambda seq: eval_at(seq, point)):
         with pytest.raises(ValueError, match="member 0 is missing: the members end before m = 5"):
             use(drawn)
         short = build_family(2, 3, family).polys
@@ -529,7 +530,7 @@ def test_real_line_differential_equation():
     # restricted to the real line, d/dx0 acts as the creation matrix
     for family, lam in (("canonical", None), ("bernoulli", None), ("hermite", None)):
         seq = build_family(2, 6, family=family, lam=lam)
-        restricted = seq.restrict_real()
+        restricted = restrict_real(seq)
         h = creation_matrix(6)
         for k, coeffs in enumerate(restricted):
             derived = [i * c for i, c in enumerate(coeffs)][1:]
