@@ -9,44 +9,37 @@ the exact values.
 Output is deterministic: JSON keys are sorted, list orders are fixed by
 the library's canonical term ordering, and CSV uses a fixed header and
 line terminator.  Repeated runs with the same flags produce byte-identical
-bytes.  A negative rational may follow its flag as --lambda -3/5.
+bytes.
+
+Flags are read from one table, `COMMANDS`, by `parse_args`: exact names
+only, as --flag value or --flag=value; a negative rational may follow its
+flag as --lambda -3/5.  -h or --help prints the table's help.
 
 Exit status: 0 on success (verify: all checks passed), 1 when verification
-fails, 2 on usage or configuration errors, 3 on an internal error (a bug,
-reported on stderr as one "internal error:" line).
+fails, 2 on usage or configuration errors (one "error:" line), 3 on an
+internal error (a bug, reported on stderr as one "internal error:" line).
 
 This module holds the parser, `main` and what every subcommand shares.
-Each subcommand's `cmd_<name>` lives in the module `HANDLERS` names,
-which `main` imports when that subcommand runs: `cli_gen`, `cli_verify`,
-`cli_evaluate` (eval and exp) and `cli_matrices`, with `cli_sequence`
-(a sequence from flags or from an --input file) and `cli_digits` (the
-int-to-str digit limit) as their shared helpers.
+Each subcommand's `cmd_<name>` lives in the module its `COMMANDS` row
+names, which `main` imports when that subcommand runs: `cli_gen`,
+`cli_verify`, `cli_evaluate` (eval and exp) and `cli_matrices`, with
+`cli_sequence` (a sequence from flags or from an --input file) and
+`cli_digits` (the int-to-str digit limit) as their shared helpers.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from .jsonwriter import write_json
 from .rationals import approximate
 from .trimatrix import FAMILIES, TRANSFER_FAMILIES
 
-RATIONAL_FLAGS = ("--lambda", "--c0", "--pascal", "--point")
-NEGATIVE_VALUE = re.compile(r"-\d")
 # The most terms (of a sequence) or entries (of a matrix) a command may build.
 SIZE_BUDGET = 10**6
-# The module that holds each subcommand's handler: a command compiles only its own.
-HANDLERS = {
-    "gen": "cli_gen",
-    "verify": "cli_verify",
-    "eval": "cli_evaluate",
-    "matrices": "cli_matrices",
-    "exp": "cli_evaluate",
-}
 
 
 def check_size(flag: str, value: int, estimate: int, unit: str) -> None:
@@ -95,94 +88,148 @@ def emit(out, output: str | None) -> None:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_output_flags(parser, formats=("json", "csv", "pretty"), with_float=True):
-    parser.add_argument("--format", choices=formats, default="json")
-    parser.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
-    if with_float:
-        parser.add_argument(
-            "--float",
-            action="store_true",
-            help="add decimal approximations next to the exact values (json/csv)",
-        )
+def flag(name, text, kind=str, choices=(), default=None, required=False, metavar=None, dest=None):
+    """A flag table row: (name, dest, kind, choices, default, required, metavar, text).
+
+    `dest` is the attribute the handlers read; `kind` is int, str, or bool for a switch,
+    which takes no value and is True when given.
+    """
+    metavar = metavar or name[2:].upper()
+    return name, dest or name[2:], kind, choices, default, required, metavar, text
 
 
-def _add_sequence_flags(parser: argparse.ArgumentParser, with_input: bool):
-    parser.add_argument("--n", type=int, help="paravector dimension (number of e_k)")
-    parser.add_argument("--m", type=int, help="highest degree to build")
-    parser.add_argument("--family", choices=FAMILIES, help="sequence family (default canonical)")
-    parser.add_argument("--lambda", dest="lam", metavar="p/q",
-                        help="Frobenius-Euler parameter, any rational except 1")
-    parser.add_argument("--c0", metavar="p/q", help="normalization c_0 (default 1)")
-    parser.add_argument("--shift", type=int, metavar="S",
-                        help="coefficient shift for products with a degree-S monogenic factor"
-                        " (default 0)")
-    if with_input:
-        parser.add_argument("--input", metavar="PATH",
-                            help="load a sequence from a gen JSON file instead of building one")
+LAMBDA = flag("--lambda", "Frobenius-Euler parameter, any rational except 1", metavar="p/q",
+              dest="lam")
+SEQUENCE_FLAGS = [
+    flag("--n", "paravector dimension (number of e_k)", int),
+    flag("--m", "highest degree to build", int),
+    flag("--family", "sequence family (default canonical)", choices=FAMILIES),
+    LAMBDA,
+    flag("--c0", "normalization c_0 (default 1)", metavar="p/q"),
+    flag("--shift", "coefficient shift for products with a degree-S monogenic factor (default 0)",
+         int, metavar="S"),
+]
+INPUT = flag("--input", "load a sequence from a gen JSON file instead of building one",
+             metavar="PATH")
+POINT = flag("--point", "comma-separated rational coordinates, n+1 of them", required=True,
+             metavar="x0,x1,..")
+FORMAT = flag("--format", "output format (default json)", choices=("json", "csv", "pretty"),
+              default="json")
+OUTPUT = flag("--output", "write to a file instead of stdout", metavar="PATH")
+FLOAT = flag("--float", "add decimal approximations next to the exact values (json/csv)", bool,
+             default=False)
+# Each subcommand: the module that holds its cmd_<name> (a command compiles only its own),
+# its help line and its flags.
+COMMANDS = {
+    "gen": ("cli_gen", "build a sequence and print it", [*SEQUENCE_FLAGS, FORMAT, OUTPUT, FLOAT]),
+    "verify": ("cli_verify", "certify monogenicity, ladder, intertwining", [
+        *SEQUENCE_FLAGS, INPUT,
+        flag("--format", "output format (default json)", choices=("json", "pretty"),
+             default="json"),
+        OUTPUT,
+    ]),
+    "eval": ("cli_evaluate", "evaluate all degrees at a rational point",
+             [*SEQUENCE_FLAGS, INPUT, POINT, FORMAT, OUTPUT, FLOAT]),
+    "matrices": ("cli_matrices", "print H, Ht, Pascal, or a transfer matrix", [
+        flag("--m", "matrix order (size m+1)", int, required=True),
+        flag("--n", "dimension, for --tilde", int),
+        flag("--tilde", "derivation matrix instead of H", bool, default=False),
+        flag("--shift", "shift for the derivation matrix", int, default=0, metavar="S"),
+        flag("--pascal", "Pascal matrix P(x0) at this x0", metavar="p/q"),
+        flag("--family", "transfer matrix of a classical family", choices=TRANSFER_FAMILIES),
+        LAMBDA, FORMAT, OUTPUT, FLOAT,
+    ]),
+    "exp": ("cli_evaluate", "truncated generalized exponential at a point", [
+        flag("--n", "paravector dimension (number of e_k)", int, required=True),
+        POINT,
+        flag("--order", "truncation order (sum k = 0..T)", int, required=True, metavar="T"),
+        FORMAT, OUTPUT, FLOAT,
+    ]),
+}
+HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperappell",
-        description="exact hypercomplex Appell sequences: build, certify, evaluate",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="build a sequence and print it")
-    _add_sequence_flags(gen, with_input=False)
-    _add_output_flags(gen)
-
-    verify = sub.add_parser("verify", help="certify monogenicity, ladder, intertwining")
-    _add_sequence_flags(verify, with_input=True)
-    _add_output_flags(verify, formats=("json", "pretty"), with_float=False)
-
-    ev = sub.add_parser("eval", help="evaluate all degrees at a rational point")
-    _add_sequence_flags(ev, with_input=True)
-    ev.add_argument("--point", required=True, metavar="x0,x1,..",
-                    help="comma-separated rational coordinates, n+1 of them")
-    _add_output_flags(ev)
-
-    mat = sub.add_parser("matrices", help="print H, Ht, Pascal, or a transfer matrix")
-    mat.add_argument("--m", type=int, required=True, help="matrix order (size m+1)")
-    mat.add_argument("--n", type=int, help="dimension, for --tilde")
-    mat.add_argument("--tilde", action="store_true", help="derivation matrix instead of H")
-    mat.add_argument("--shift", type=int, default=0, metavar="S",
-                     help="shift for the derivation matrix")
-    mat.add_argument("--pascal", metavar="p/q", help="Pascal matrix P(x0) at this x0")
-    mat.add_argument("--family", choices=TRANSFER_FAMILIES,
-                     help="transfer matrix of a classical family")
-    mat.add_argument("--lambda", dest="lam", metavar="p/q",
-                     help="Frobenius-Euler parameter, any rational except 1")
-    _add_output_flags(mat)
-
-    exp = sub.add_parser("exp", help="truncated generalized exponential at a point")
-    exp.add_argument("--n", type=int, required=True)
-    exp.add_argument("--point", required=True, metavar="x0,x1,..")
-    exp.add_argument("--order", type=int, required=True, metavar="T",
-                     help="truncation order (sum k = 0..T)")
-    _add_output_flags(exp)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The help of one subcommand, or of the program when `command` is None."""
+    if command is None:
+        usage = "{" + ",".join(COMMANDS) + "} [flags]"
+        text = "exact hypercomplex Appell sequences: build, certify, evaluate"
+        rows = [(name, line) for name, (_, line, _) in COMMANDS.items()]
+    else:
+        usage, text = f"{command} [flags]", COMMANDS[command][1]
+        rows = [(name if kind is bool else f"{name} {metavar}",
+                 line + (f"; one of {', '.join(choices)}" if choices else "")
+                 + (" (required)" if required else ""))
+                for name, _, kind, choices, _, required, metavar, line in COMMANDS[command][2]]
+    rows.append((", ".join(HELP), "print this help and exit"))
+    return f"usage: hyperappell {usage}\n\n{text}\n\n" + "".join(
+        f"  {left:<19} {right}\n" for left, right in rows)
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """`--lambda -3/5` to `--lambda=-3/5`: argparse reads -3/5 or -1,2 as an option."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in RATIONAL_FLAGS and NEGATIVE_VALUE.match(arg):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The flags of one command line by attribute, or None once -h or --help printed its help.
+
+    A flag takes its value as --flag=value, or from the next argument unless that one starts
+    with "-" and is not a negative number (--lambda -3/5). A repeated flag keeps its last value.
+    """
+    command = argv[0] if argv else None
+    if command in HELP:
+        print(_help(None), end="")
+        return None
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    rest = argv[:0:-1]  # the arguments after the command, last first, so pop() takes the next
+    table = {row[0]: row for row in COMMANDS[command][2]}
+    args = SimpleNamespace(command=command,
+                           **{dest: default for _, dest, _, _, default, *_ in table.values()})
+    unknown = []
+    while rest:
+        arg = rest.pop()
+        if arg in HELP:
+            print(_help(command), end="")
+            return None
+        name, attached, value = arg.partition("=")
+        if name not in table:
+            unknown.append(arg)
+            continue
+        _, dest, kind, choices, *_ = table[name]
+        if kind is bool:
+            if attached:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif not attached:
+            if not rest or rest[-1].startswith("-") and not "0" <= rest[-1][1:2] <= "9":
+                raise ValueError(f"argument {name}: expected one argument")
+            value = rest.pop()
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        if choices and value not in choices:
+            options = ", ".join(map(repr, choices))
+            raise ValueError(f"argument {name}: invalid choice: {value!r} (choose from {options})")
+        setattr(args, dest, value)
+    # a required flag has no default, and no given value is None
+    missing = [name for name, dest, _, _, _, required, *_ in table.values()
+               if required and getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
         if getattr(args, "float", False) and args.format == "pretty":
             raise ValueError("--float applies to json and csv output, not to pretty")
-        handlers = importlib.import_module(f".{HANDLERS[args.command]}", __package__)
+        handlers = importlib.import_module(f".{COMMANDS[args.command][0]}", __package__)
         return getattr(handlers, f"cmd_{args.command}")(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

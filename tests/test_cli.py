@@ -1,7 +1,7 @@
-import argparse
 import contextlib
 import copy
 import csv
+import gc
 import io
 import itertools
 import json
@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -224,7 +225,7 @@ def test_verify_has_no_float_option(tmp_path):
     for args in (["--input", str(path)], ["--n", "2", "--m", "2"]):
         proc = run_cli("verify", *args, "--float")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "unrecognized arguments: --float" in proc.stderr
+        assert proc.stderr == "error: unrecognized arguments: --float\n"
 
 
 def test_verify_input_conflicts_with_flags(tmp_path):
@@ -360,7 +361,7 @@ def test_every_gen_file_within_the_size_budget_is_within_the_value_bound(family)
             assert terms <= most_terms(m)
 
     def admitted(m):
-        flags = argparse.Namespace(n=3, m=m, family=family, lam=lam, c0=None, shift=None)
+        flags = SimpleNamespace(n=3, m=m, family=family, lam=lam, c0=None, shift=None)
         try:
             cli_sequence.build_flags(flags)
         except ValueError:
@@ -958,8 +959,13 @@ def test_streamed_pretty_is_the_built_text_one_write_per_line(family, lam, m):
 
 
 def peak_bytes(argv) -> int:
-    """tracemalloc peak of one in-process command, its output sent to devnull."""
+    """tracemalloc peak of one in-process command, its output sent to devnull.
+
+    A full collection first empties the interpreter's free lists, whose objects a run would
+    otherwise reuse unseen by tracemalloc, as many as earlier runs happened to leave there.
+    """
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        gc.collect()
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0
@@ -968,52 +974,63 @@ def peak_bytes(argv) -> int:
             tracemalloc.stop()
 
 
-def cli_peak_bytes(m: int, fmt: str = "json", command=("gen",)) -> int:
-    """peak_bytes of a command at n = 3 and order m, frobenius-euler at lambda = -4/7."""
-    argv = [*command, "--n", "3", "--m", str(m), "--family", "frobenius-euler", "--lambda=-4/7"]
-    return peak_bytes(argv + ["--format", fmt])
+def peak_growth(argv, small: int, large: int) -> float:
+    """How many times the peak of `argv(m)` grows from m = small to m = large.
+
+    The peak of a warm m = 2 run is taken off both sides: what a run allocates whatever its m
+    would pull every ratio towards 1.
+    """
+    peak_bytes(argv(2))  # one-time allocations of a first run
+    fixed = peak_bytes(argv(2))
+    return (peak_bytes(argv(large)) - fixed) / (peak_bytes(argv(small)) - fixed)
 
 
+def sequence_growth(fmt: str = "json", command=("gen",)) -> float:
+    """peak_growth from m = 24 to 48 at n = 3, frobenius-euler at lambda = -4/7."""
+    fe = ["--family", "frobenius-euler", "--lambda=-4/7", "--format", fmt]
+    return peak_growth(lambda m: [*command, "--n", "3", "--m", str(m), *fe], 24, 48)
+
+
+# Each bound lies between the growth of the streamed route and that of a copy which holds what
+# the route streams (tracemalloc, CPython 3.11).
 def test_gen_memory_grows_as_m_squared():
-    # gen holds phi's O(m^2) terms and one row of T, never the O(m^3) terms of T phi:
-    # doubling m should about quadruple the peak, where holding the sequence gives about 8
-    cli_peak_bytes(2)  # one-time allocations of a first run
-    small, large = cli_peak_bytes(24), cli_peak_bytes(48)
-    assert large / small < 4, (small, large)
+    # gen holds phi's O(m^2) terms and one row of T, never the O(m^3) terms of T phi: doubling m
+    # grows the peak past its fixed part about 3.1x, where holding every member's terms gives 7.3x
+    growth = sequence_growth()
+    assert growth < 4, growth
 
 
 def test_gen_csv_memory_grows_as_m_squared():
-    # CSV rows are written as they are drawn, like JSON terms
-    cli_peak_bytes(2, "csv")
-    small, large = cli_peak_bytes(24, "csv"), cli_peak_bytes(48, "csv")
-    assert large / small < 4, (small, large)
+    # CSV rows are written as they are drawn, like JSON terms: 2.9x, and 7.0x holding the members
+    growth = sequence_growth("csv")
+    assert growth < 4, growth
 
 
-def test_gen_pretty_memory_grows_as_m_squared():
-    # pretty members are formatted and written one at a time, like JSON terms
-    cli_peak_bytes(2, "pretty")
-    small, large = cli_peak_bytes(24, "pretty"), cli_peak_bytes(48, "pretty")
-    assert large / small < 4, (small, large)
+def test_gen_pretty_holds_one_member_text_at_a_time():
+    # pretty members are formatted and written one at a time: phi's O(m^2) terms and the text of
+    # one member, O(k^2) terms whose digits grow with m, so doubling m grows the peak about 4.4x,
+    # 7.3x when every member's terms are held and 7.9x when their text is
+    growth = sequence_growth("pretty")
+    assert growth < 5.5, growth
 
 
 @pytest.mark.parametrize("command", [("verify",), ("eval", "--point", "1,2,3,4")])
 def test_verify_and_eval_memory_grows_as_m_squared(command):
     # certify and eval_at take each member as it is drawn from the series column and drop it:
-    # doubling m about quadruples the peak (phi and one member), holding the sequence about 7x
-    cli_peak_bytes(2, command=command)
-    small, large = cli_peak_bytes(24, command=command), cli_peak_bytes(48, command=command)
-    assert large / small < 5, (small, large)
+    # doubling m about quadruples the peak (4.0x: phi and one member), holding the sequence
+    # 6.7-7.3x
+    growth = sequence_growth(command=command)
+    assert growth < 5, growth
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 @pytest.mark.parametrize("flags", [[], ["--tilde", "--n", "3", "--shift", "2"]], ids=["H", "tilde"])
 def test_subdiagonal_matrices_memory_stays_flat_in_m(flags, fmt):
     # H and the derivation matrix are drawn one row at a time from their subdiagonal: tripling m
-    # leaves the peak about the same (0.9-1.7x), where building the matrix first gives 4.6-6.2x
-    argv = lambda m: ["matrices", "--m", str(m), *flags, "--format", fmt]
-    peak_bytes(argv(2))  # one-time allocations of a first run
-    small, large = peak_bytes(argv(100)), peak_bytes(argv(300))
-    assert large / small < 2, (small, large)
+    # grows the peak past its fixed part 1.0-1.7x (2.1-2.3x for JSON), where building the matrix
+    # first gives 3.7x (CSV) to 6.1x
+    growth = peak_growth(lambda m: ["matrices", "--m", str(m), *flags, "--format", fmt], 100, 300)
+    assert growth < 3, growth
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -1128,9 +1145,11 @@ import hyperappell.cli
 registered = sorted(name for name in sys.modules if name.startswith("hyperappell"))
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     status = hyperappell.cli.main(sys.argv[2:])
-print(json.dumps({"status": status, "ran": ran, "registered": registered}))
+parsers = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+print(json.dumps({"status": status, "ran": ran, "registered": registered, "parsers": parsers}))
 """
-# What every command runs: the package, the CLI and its parser's needs.
+# What every command runs: the package, the CLI and what it imports: trimatrix for the families
+# its flag table lists, jsonwriter and rationals for the writers every subcommand shares.
 STARTUP_MODULES = {"__init__", "cli", "jsonwriter", "rationals", "trimatrix"}
 # compile() holds about 3 KB per source line while it runs, so a command's peak memory grows
 # with the largest module it compiles: no module a command runs may be longer than this, counting
@@ -1202,6 +1221,7 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path, status, runs, arg
     assert max(lines.values()) <= MODULE_LINES, lines
     assert TRACED_MODULES <= set(report["registered"]), report["registered"]
     assert "hyperappell.reference" not in report["registered"]
+    assert report["parsers"] == [], "the flag table is read without argparse"
 
 
 @pytest.mark.parametrize(
@@ -1398,6 +1418,92 @@ def test_output_to_full_device_exits_2():
 
 def test_unknown_subcommand_exits_2():
     assert run_cli("frobnicate").returncode == 2
+
+
+# Each usage error of the parser and its one stderr line, after "error: ".
+USAGE_ERRORS = [
+    (["verify", "--n", "2", "--m", "2", "--float"], "unrecognized arguments: --float"),
+    # exact names only: no unique-prefix abbreviation
+    (["gen", "--fam", "bernoulli", "--n", "2", "--m", "2"],
+     "unrecognized arguments: --fam bernoulli"),
+    (["gen", "--n", "2", "--m", "2", "stray"], "unrecognized arguments: stray"),
+    (["verify", "--n", "2", "--m", "2", "--format", "csv"],
+     "argument --format: invalid choice: 'csv' (choose from 'json', 'pretty')"),
+    (["matrices", "--m", "2", "--family=canonical"], "argument --family: invalid choice:"
+     " 'canonical' (choose from 'bernoulli', 'euler', 'frobenius-euler', 'hermite')"),
+    (["gen", "--n", "two", "--m", "2"], "argument --n: invalid int value: 'two'"),
+    (["exp", "--n", "2", "--order", "3.5", "--point", "0,1,2"],
+     "argument --order: invalid int value: '3.5'"),
+    (["eval", "--n", "2", "--m", "3"], "the following arguments are required: --point"),
+    (["exp", "--n", "2", "--order", "3"], "the following arguments are required: --point"),
+    (["exp"], "the following arguments are required: --n, --point, --order"),
+    (["matrices", "--format", "csv"], "the following arguments are required: --m"),
+    (["gen", "--n", "2", "--m"], "argument --m: expected one argument"),
+    (["gen", "--n", "--m", "2"], "argument --n: expected one argument"),
+    (["gen", "--n", "2", "--m", "2", "--c0", "-x"], "argument --c0: expected one argument"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"
+     " (choose from 'gen', 'verify', 'eval', 'matrices', 'exp')"),
+    (["gen", "--n", "2", "--m", "2", "--float=yes"],
+     "argument --float: ignored explicit argument 'yes'"),
+    (["matrices", "--m", "2", "--n", "2", "--tilde="],
+     "argument --tilde: ignored explicit argument ''"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_error_exits_2_with_one_error_line(argv, message):
+    assert run_main(argv) == (2, "", f"error: {message}\n")
+
+
+# Every flag of each subcommand, in the order its help lists them.
+SUBCOMMAND_FLAGS = {
+    "gen": ["--n", "--m", "--family", "--lambda", "--c0", "--shift", "--format", "--output",
+            "--float"],
+    "verify": ["--n", "--m", "--family", "--lambda", "--c0", "--shift", "--input", "--format",
+               "--output"],
+    "eval": ["--n", "--m", "--family", "--lambda", "--c0", "--shift", "--input", "--point",
+             "--format", "--output", "--float"],
+    "matrices": ["--m", "--n", "--tilde", "--shift", "--pascal", "--family", "--lambda",
+                 "--format", "--output", "--float"],
+    "exp": ["--n", "--point", "--order", "--format", "--output", "--float"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_0_and_lists_every_flag(command, flag):
+    status, out, err = run_main([command, "--n", "2", flag, "--format", "bogus"])
+    assert (status, err) == (0, "")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert listed == SUBCOMMAND_FLAGS[command], out
+    status, top, err = run_main([flag])
+    assert (status, err) == (0, "")
+    assert [line.split()[0] for line in top.splitlines()[4:9]] == list(SUBCOMMAND_FLAGS), top
+
+
+@pytest.mark.parametrize(
+    "separate",
+    [
+        ["gen", "--n", "2", "--m", "3", "--family", "bernoulli", "--format", "csv", "--float"],
+        ["verify", "--n", "2", "--m", "3", "--shift", "1", "--format", "pretty"],
+        ["matrices", "--m", "3", "--tilde", "--n", "2", "--shift", "1"],
+        ["exp", "--n", "1", "--point", "0,1", "--order", "4", "--format", "pretty"],
+    ],
+    ids=["gen", "verify", "matrices", "exp"],
+)
+def test_attached_values_and_repeated_flags_parse_as_separate_ones(separate):
+    # --flag=value reads as --flag value, and a repeated flag keeps its last value
+    attached, i = [separate[0]], 1
+    while i < len(separate):
+        takes_value = i + 1 < len(separate) and not separate[i + 1].startswith("--")
+        attached.append(f"{separate[i]}={separate[i + 1]}" if takes_value else separate[i])
+        i += 2 if takes_value else 1
+    repeated = [separate[0], "--n", "7", "--format", "json", *separate[1:]]
+    runs = [run_main(argv) for argv in (separate, attached, repeated)]
+    assert runs[0][0] == 0 and runs[0][2] == "", runs[0]
+    assert runs[1] == runs[2] == runs[0]
+    assert attached != separate
 
 
 def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
