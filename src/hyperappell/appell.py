@@ -19,10 +19,10 @@ Vectorized, the whole truncated sequence is exp(H x0) D_c xi(v) with H the
 creation matrix, D_c the diagonal of the c_j and xi(v) the column of vector
 powers; classical families (Bernoulli, Euler, Frobenius-Euler, Hermite)
 arise by applying their transfer matrices f(H) to the basic sequence.
-`transferred_terms` computes T phi term by term from the first column of
-T = f(H), and `family_members` yields its members one at a time: a caller
-that uses each as it is drawn holds one row of T and the members of phi it
-reads, one member for the basic sequence, never the O(m^3) terms of T phi.
+`transferred_terms` computes T phi block by block, in integer pairs, from the
+first column of T = f(H), and `family_members` yields its members one at a
+time: a caller that uses each as it is drawn holds one row of T and the
+members of phi it reads, never the O(m^3) terms of T phi.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from . import clifford, polynomials  # run on first use: `gen` and `verify` need neither
@@ -168,7 +168,7 @@ class AppellPoly:
     def __str__(self) -> str:
         from .seqfile import member_text  # the text `gen --format pretty` prints
 
-        return member_text(self.sorted_terms())
+        return member_text((key, a.numerator, a.denominator) for key, a in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"AppellPoly(degree={self.degree}, {self})"
@@ -238,34 +238,49 @@ class AppellSequence:
 
 
 def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[Iterator]:
-    """Members (T phi)_k, T = f(H) of the column t_0..t_m, as generators of ((i, j), a).
+    """Members (T phi)_k, T = f(H) of the column t_0..t_m, each a generator of its blocks.
 
-    phi_l is homogeneous of degree l, so x0^i v^j occurs only in phi_(i+j):
-    row k of T scales whole members and no two products share a key, and
-    walking l, then j, upwards is `sorted_terms` order.  Each
-    a = C(k,l) t_(k-l) * C(l,j) c_j.  Row k reads phi_l only at t_(k-l) != 0,
-    so with `reach` the last d of a nonzero t_d only phi_(k-reach)..phi_k and
-    one row of T are held: one member of phi for the canonical column, all of
-    them for a transfer column, which reaches m or m-1.  Each drawn row keeps
-    its own phi lists, so its generator stays valid as later rows are drawn.
-    Member k has degree k, since t_0 != 0.
+    Block l of member k, drawn at each t_(k-l) != 0 in increasing l, is
+    C(k,l) t_(k-l) phi_l: the list of ((i, j), num, den) with i + j = l and
+    num/den = C(k,l) t_(k-l) * C(l,j) c_j in lowest terms, den > 0, made from
+    integers alone.  phi_l is homogeneous of degree l, so walking l, then j,
+    upwards is `sorted_terms` order.  With `reach` the last d of a nonzero
+    t_d, only phi_(k-reach)..phi_k and one row of T are held: one member of
+    phi for the canonical column, all of them for a transfer column, which
+    reaches m or m-1.  Each drawn row keeps its own phi lists, so its
+    generator stays valid as later rows are drawn.  Member k has degree k.
     """
     values = coeffs.values
+    gcd = math.gcd
     reach = max((d for d, t in enumerate(column) if t), default=0)
     phi = deque(maxlen=reach + 1)  # phi_(k-reach)..phi_k: row k reads no older member
     for k in range(len(column)):
-        phi.append([((k - j, j), math.comb(k, j) * values[j]) for j in range(k + 1) if values[j]])
+        phi.append([((k - j, j), a.numerator, a.denominator)
+                    for j in range(k + 1) if values[j] for a in [math.comb(k, j) * values[j]]])
         # row k of T, C(k,l) t_(k-l) with phi_l, at the nonzero t only: a canonical row holds one
-        row = [(math.comb(k, l) * column[k - l], phi[l - k - 1])
-               for l in range(max(0, k - reach), k + 1) if column[k - l]]
-        yield ((key, t * a) for t, terms in row for key, a in terms)
+        row = [(t.numerator, t.denominator, phi[l - k - 1])
+               for l in range(max(0, k - reach), k + 1) if column[k - l]
+               for t in [math.comb(k, l) * column[k - l]]]
+        # each factor's numerator cancelled by the other's denominator, as Fraction multiplies:
+        # two gcds of the factors cost less than one of the products once the digits grow
+        yield ([(key, (tn // g) * (an // h), (td // h) * (ad // g))
+                for key, an, ad in terms for g in [gcd(tn, ad)] for h in [gcd(an, td)]]
+               for tn, td, terms in row)
+
+
+# Fraction of a pair in lowest terms, den > 0, without the second gcd Fraction(num, den) takes:
+# the constructor of Fraction's own arithmetic (CPython 3.12 on; _normalize=False before)
+reduced_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
+    Fraction, _normalize=False
+)
 
 
 def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:
     """The members of `transferred_terms(column, coeffs)`, each drawn as an AppellPoly."""
     for k, member in enumerate(transferred_terms(column, coeffs)):
         poly = AppellPoly(k)
-        poly.terms = dict(member)
+        poly.terms = {key: reduced_fraction(num, den) for block in member
+                      for key, num, den in block}
         yield poly
 
 

@@ -70,7 +70,7 @@ def csv_lines(header: list[str], rows, with_float: bool):
 
 
 def emit(out, output: str | None) -> None:
-    """Write a JSON payload piece by piece, or text whole or line by line, to stdout or `output`."""
+    """Write a JSON payload piece by piece, or text whole or in pieces, to stdout or `output`."""
     def write_out(fh):
         if isinstance(out, dict):
             return write_json(out, fh.write)

@@ -3,13 +3,14 @@
 `write_json` writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a
 newline in pieces, so no command holds its whole output text.  Any
 iterable, such as a generator, may stand for an array.  Each item of a
-top-level array, or of an array given as an iterator at any depth, is
-written once it is complete, before the next item is drawn; lists and
-dicts inside an item stay in that item's piece.  So `gen` draws and
-writes one term at a time, and `matrices` one row.  A written piece
-stays written: callers run whatever can fail first.  With an indent,
-json skips its C encoder, so this writer is also faster.  The package
-does not import this module, so the library does not load json.
+top-level array, one outside every array item, is written once it is
+complete, before the next item is drawn; whatever an item holds, an
+iterable too, is joined into that item's piece.  So `matrices` draws and
+writes one row at a time.  A written piece stays written: callers run
+whatever can fail first.  With an indent, json skips its C encoder, so
+this writer is also faster.  The package does not import this module, so
+the library does not load json.  `gen` renders its own pieces, one block
+of terms each (`seqfile.sequence_pieces`).
 """
 
 from __future__ import annotations
@@ -26,18 +27,16 @@ def write_json(payload, write) -> None:
     subclass of str, int or float (TypeError); no payload holds one.
     """
     pending: list[str] = []
-    _write(payload, "\n", pending, write, False)
+    _write(payload, "\n", pending, write)
     pending.append("\n")
     write("".join(pending))
 
 
-def _write(value, indent: str, pending: list[str], write, whole: bool) -> None:
+def _write(value, indent: str, pending: list[str], write=None) -> None:
     """Append the text of `value` to `pending`; `indent` is a newline and the spaces of its level.
 
-    After each item of a streamed array, `pending` goes to `write` as one
-    piece.  An array given as an iterator is always streamed; a list or
-    tuple only outside an item (`whole`), so such an item is one piece
-    unless it holds an iterator.
+    With `write`, outside every array item, each item of an array goes to
+    `write` as one piece, `pending` included, once it is complete.
     """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
@@ -47,17 +46,16 @@ def _write(value, indent: str, pending: list[str], write, whole: bool) -> None:
         sep = "{"
         for key in sorted(value):
             pending.append(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write(value[key], inner, pending, write, whole)
+            _write(value[key], inner, pending, write)
             sep = ","
         return pending.append("{}" if sep == "{" else indent + "}")
     if isinstance(value, (str, bytes)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    stream = not (whole and isinstance(value, (list, tuple)))
     sep = "["
     for item in value:
         pending.append(sep + inner)
-        _write(item, inner, pending, write, True)
-        if stream:
+        _write(item, inner, pending)
+        if write:
             write("".join(pending))
             pending.clear()
         sep = ","

@@ -1,9 +1,12 @@
 """The sequence file layout: the JSON of `gen` and `--input`, and the text of a member.
 
-`sequence_json` is the one layout of a sequence, built or streamed;
-`from_json` loads it back and refuses any payload no builder could
-produce.  `member_text` is a member as `gen --format pretty` prints it.
-Of the commands, only `gen` and `--input` run this module.
+`sequence_json` is the one layout of a sequence as a dict; `from_json`
+loads it back and refuses any payload no builder could produce.
+`sequence_pieces` is the text `gen` writes, the bytes of that dict's
+``json.dumps(..., sort_keys=True, indent=2)``, rendered one block
+t_(k-l) phi_l of `transferred_terms` at a time from its integer pairs.
+`member_text` is a member as `gen --format pretty` prints it.  Of the
+commands, only `gen` and `--input` run this module.
 """
 
 from __future__ import annotations
@@ -21,28 +24,29 @@ from .appell import (
 from .rationals import ONE, read_rational
 
 
+def ratio_text(num: int, den: int) -> str:
+    """The text of num/den in lowest terms, den > 0, as str(Fraction(num, den)) gives it."""
+    return f"{num}" if den == 1 else f"{num}/{den}"
+
+
 def member_text(terms) -> str:
-    """A member as text, from its ((i, j), a) in `sorted_terms` order; "0" when there are none."""
+    """A member as text, from its ((i, j), num, den) in `sorted_terms` order; "0" if none."""
     pieces = []
-    for (i, j), a in terms:
-        factors = [str(abs(a))] if abs(a) != 1 or i == j == 0 else []
+    for (i, j), num, den in terms:
+        factors = [ratio_text(abs(num), den)] if abs(num) != 1 or den != 1 or i == j == 0 else []
         if i:
             factors.append("x0" if i == 1 else f"x0^{i}")
         if j:
             factors.append("xv" if j == 1 else f"xv^{j}")
-        pieces.append((" - " if a < 0 else " + ") if pieces else ("-" if a < 0 else ""))
+        pieces.append((" - " if num < 0 else " + ") if pieces else ("-" if num < 0 else ""))
         pieces.append("*".join(factors))
     return "".join(pieces) or "0"
 
 
-def sequence_json(
-    family: str, coeffs: CoeffSequence, lam: Fraction | None, members, array=list
-) -> dict:
-    """The one JSON layout of a sequence, built or streamed.
+def sequence_json(family: str, coeffs: CoeffSequence, lam: Fraction | None, members) -> dict:
+    """The one JSON layout of a sequence.
 
-    `members` yields, for k = 0..m, member k's ((i, j), a) in `sorted_terms`
-    order.  `array=iter` leaves the member and term arrays lazy, so a
-    streaming writer draws one term at a time.
+    `members` yields, for k = 0..m, member k's ((i, j), a) in `sorted_terms` order.
     """
     return {
         "n": coeffs.n,
@@ -51,11 +55,44 @@ def sequence_json(
         "s": coeffs.shift,
         "m": coeffs.m,
         "coeffs": [str(c) for c in coeffs.values],
-        "polys": array(
-            {"k": k, "terms": array({"i": i, "j": j, "a": str(a)} for (i, j), a in terms)}
+        "polys": [
+            {"k": k, "terms": [{"i": i, "j": j, "a": str(a)} for (i, j), a in terms]}
             for k, terms in enumerate(members)
-        ),
+        ],
     }
+
+
+def sequence_pieces(family: str, coeffs: CoeffSequence, lam: Fraction | None, members,
+                    approx: list[float] | None = None):
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, one piece per block.
+
+    The payload is `sequence_json` of the members, plus "coeffs_approx" when
+    `approx` is given.  `members` is `transferred_terms`: for k = 0..m, the
+    blocks of member k, each a list of ((i, j), num, den).  The header goes
+    out with the first block, each later block is one piece of at most k + 1
+    terms, and the tail is the last piece.  No array is empty: m >= 0, and
+    member k holds the block t_0 phi_k.
+    """
+    def array(texts):
+        return "[" + ",".join("\n    " + text for text in texts) + "\n  ]"
+
+    head = '{\n  "coeffs": ' + array([f'"{c}"' for c in coeffs.values])
+    if approx is not None:
+        head += ',\n  "coeffs_approx": ' + array([float.__repr__(x) for x in approx])
+    lam_text = "null" if lam is None else f'"{lam}"'
+    piece = (f'{head},\n  "family": "{family}",\n  "lambda": {lam_text},'
+             f'\n  "m": {coeffs.m},\n  "n": {coeffs.n},\n  "polys": [')
+    for k, blocks in enumerate(members):
+        piece += f'{"," if k else ""}\n    {{\n      "k": {k},\n      "terms": ['
+        for block in blocks:
+            yield piece + ",".join(
+                f'\n        {{\n          "a": "{ratio_text(num, den)}",'
+                f'\n          "i": {i},\n          "j": {j}\n        }}'
+                for (i, j), num, den in block
+            )
+            piece = ","
+        piece = "\n      ]\n    }"
+    yield piece + f'\n  ],\n  "s": {coeffs.shift}\n}}\n'
 
 
 def from_json(payload: dict) -> AppellSequence:

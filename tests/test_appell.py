@@ -374,6 +374,11 @@ def test_build_family_is_transfer_applied_to_phi(lam):
                 assert seq.coeffs == cs
 
 
+def drained(member):
+    """A member of `transferred_terms`, its blocks drained, as `sorted_terms` gives them."""
+    return [(key, Fraction(num, den)) for block in member for key, num, den in block]
+
+
 def phi_oracle(coeffs):
     """phi_k = sum_j C(k,j) c_j x0^(k-j) v^j, term by term through AppellPoly."""
     return [
@@ -406,30 +411,61 @@ def test_streamed_members_are_the_reference_transfer_of_phi(family, lam, shift, 
         assert header[3] == transfer_column(family, m, lam)
         # every row drawn before any is drained: each keeps its phi members past the window
         members = list(transferred_terms(header[3], coeffs))
-        assert [list(member) for member in members] == [p.sorted_terms() for p in reference]
+        assert [drained(member) for member in members] == [p.sorted_terms() for p in reference]
         assert list(family_members(header[3], coeffs)) == reference
         seq = build_family(n, m, family, c0=c0, lam=lam, shift=shift)
         assert seq.polys == reference
         assert [p.degree for p in seq.polys] == list(range(m + 1))
 
 
-@pytest.mark.parametrize(
-    "column",
-    [
-        [1, Fraction(2, 3), Fraction(-5, 4)] + [0] * 7,  # reaches d = 2
-        [2, 0, 0, Fraction(3, 5), 0, -1, 0, 0, 0, 0],  # interior zeros, reaches d = 5
-    ],
-    ids=["reach-2", "interior-zeros"],
-)
+SHORT_COLUMNS = {
+    "reach-2": [1, Fraction(2, 3), Fraction(-5, 4)] + [0] * 7,
+    "interior-zeros": [2, 0, 0, Fraction(3, 5), 0, -1, 0, 0, 0, 0],  # reaches d = 5
+}
+
+
+@pytest.mark.parametrize("column", SHORT_COLUMNS.values(), ids=SHORT_COLUMNS.keys())
 def test_short_columns_read_a_window_of_phi(column):
     # row k reads phi_(k-reach)..phi_k, drained as drawn or after every row is drawn
     column = [Fraction(t) for t in column]
     for n in range(1, 5):
         coeffs = coefficient_sequence(n, len(column) - 1, c0=Fraction(-3, 5))
         reference = [p.sorted_terms() for p in appell_matrix(column).apply(phi_oracle(coeffs))]
-        assert [list(member) for member in transferred_terms(column, coeffs)] == reference
+        assert [drained(member) for member in transferred_terms(column, coeffs)] == reference
         members = list(transferred_terms(column, coeffs))
-        assert [list(member) for member in members] == reference
+        assert [drained(member) for member in members] == reference
+
+
+PAIR_CASES = {
+    **{f"{family}-{lam}": (family, lam, 0) for family, lam in COLUMN_CASES if family != "pascal"},
+    "canonical": ("canonical", None, 0),
+    "canonical-shift-2": ("canonical", None, 2),
+    **{name: (column, None, 0) for name, column in SHORT_COLUMNS.items()},
+}
+
+
+@pytest.mark.parametrize("c0", [Fraction(1), Fraction(-3, 5), Fraction(14, 9)])
+@pytest.mark.parametrize("family, lam, shift", PAIR_CASES.values(), ids=PAIR_CASES.keys())
+def test_transferred_terms_are_the_reduced_pairs_of_each_block(family, lam, shift, c0):
+    # member k is the blocks C(k,l) t_(k-l) phi_l at t_(k-l) != 0; each term's (num, den) is the
+    # product of the two factors as Fractions, in lowest terms with a positive denominator
+    column = transfer_column(family, 12, lam) if isinstance(family, str) else family
+    column = [Fraction(t) for t in column]
+    for n in range(1, 4):
+        coeffs = coefficient_sequence(n, len(column) - 1, c0=c0, shift=shift)
+        c = coeffs.values
+        for k, member in enumerate(transferred_terms(column, coeffs)):
+            blocks = [list(block) for block in member]
+            degrees = [l for l in range(k + 1) if column[k - l]]
+            assert [{i + j for (i, j), _, _ in block} for block in blocks] == [{l} for l in degrees]
+            for l, block in zip(degrees, blocks):
+                t = Fraction(math.comb(k, l) * column[k - l])
+                expected = [((l - j, j), t * (math.comb(l, j) * c[j])) for j in range(l + 1)]
+                assert [key for key, _, _ in block] == [key for key, _ in expected]
+                for (key, num, den), (_, a) in zip(block, expected):
+                    assert (num, den) == (a.numerator, a.denominator)
+                    assert den > 0 and math.gcd(num, den) == 1
+                    assert type(num) is int and type(den) is int
 
 
 def test_canonical_members_hold_one_member_of_phi():

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -36,6 +37,7 @@ from hyperappell import (
     pascal_matrix,
     transfer_matrix,
 )
+from hyperappell.trimatrix import transfer_column
 
 from test_trimatrix import COLUMN_CASES, STREAM_ORDERS
 
@@ -815,6 +817,20 @@ def materialized(value):
     return [materialized(item) for item in value]
 
 
+def built_gen_text(argv) -> str:
+    """json.dumps of the sequence the gen command line `argv` names, built with build_family."""
+    words = iter(" ".join(argv[1:]).replace("=", " ").split())
+    flags = {word: True if word == "--float" else next(words) for word in words}
+    lam = Fraction(flags["--lambda"]) if "--lambda" in flags else None
+    seq = build_family(int(flags["--n"]), int(flags["--m"]), flags.get("--family", "canonical"),
+                       c0=Fraction(flags.get("--c0", 1)), lam=lam,
+                       shift=int(flags.get("--shift", 0)))
+    doc = seq.to_json()
+    if "--float" in flags:
+        doc["coeffs_approx"] = [float(c) for c in seq.coeffs.values]
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
 def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     doc = build_family(3, 12, "frobenius-euler", lam=Fraction(-3, 7)).to_json()
@@ -823,6 +839,11 @@ def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
     corrupted.write_text(json.dumps(doc))
     argv = [str(corrupted) if arg == "CORRUPTED" else arg for arg in WRITER_CASES[name]]
     fast = run_main(argv)
+    if argv[0] == "gen":
+        # gen renders its text block by block, without write_json: the built sequence is the
+        # reference, through AppellSequence.to_json and json.dumps
+        assert fast == (0, built_gen_text(argv), "")
+        return
     calls = []
 
     def json_dumps(payload, write):
@@ -885,13 +906,39 @@ def test_streamed_matrix_is_json_dumps_of_the_built_matrix(family, lam, m):
 
 
 class CountingStdout(io.StringIO):
-    """stdout that counts its write calls."""
+    """stdout that counts its write calls and keeps the text of each."""
 
-    writes = 0
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    @property
+    def writes(self) -> int:
+        return len(self.pieces)
 
     def write(self, text):
-        self.writes += 1
+        self.pieces.append(text)
         return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "family, lam", [("canonical", None), *(case for case in COLUMN_CASES if case[0] != "pascal")]
+)
+def test_streamed_gen_json_writes_one_block_at_a_time(family, lam):
+    # member k is the blocks C(k,l) t_(k-l) phi_l, and each write holds at most one: terms of one
+    # degree l = i + j, at most l + 1 <= k + 1 of them, where a whole member 32 holds up to 561
+    n, m = 3, 32
+    argv = ["gen", "--n", str(n), "--m", str(m), "--family", family, *lambda_flags(lam)]
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert out.getvalue() == built_gen_text(argv)
+    column = transfer_column(family, m, lam)
+    blocks = sum(1 for k in range(m + 1) for d in range(k + 1) if column[d])
+    assert out.writes == blocks + 1  # and the tail
+    for piece in out.pieces:
+        degrees = [int(i) + int(j) for i, j in re.findall(r'"i": (\d+),\s+"j": (\d+)', piece)]
+        assert len(set(degrees)) <= 1 and len(degrees) <= sum(degrees[:1]) + 1, piece
 
 
 def csv_text(rows) -> str:

@@ -145,8 +145,9 @@ def test_write_json_hands_over_each_top_level_item_before_drawing_the_next():
     assert "".join(p for p, _ in pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
-def test_write_json_draws_a_nested_generator_one_term_per_piece():
-    # gen's layout: members from a generator, each member's terms from another
+def test_write_json_joins_a_nested_generator_into_its_item_piece():
+    # only the items of a top-level array stream: an iterable inside an item, a generator too, is
+    # drawn whole into that item's piece, which is written before the next item is drawn
     drawn, pieces = [], []
 
     def terms(k):
@@ -162,10 +163,12 @@ def test_write_json_draws_a_nested_generator_one_term_per_piece():
         pieces.append((piece, len(drawn)))
 
     write_json({"m": 3, "polys": members(), "coeffs": ["1", "1/2"]}, write)
-    term_pieces = [(piece, count) for piece, count in pieces if '"j": ' in piece]
-    # one piece per term, written after that term is drawn and before the next one is
-    assert [count for _, count in term_pieces] == list(range(1, 7))
-    assert [piece.count('"j": ') for piece, _ in term_pieces] == [1] * 6
+    member_pieces = [(piece, count) for piece, count in pieces if '"k": ' in piece]
+    # one piece per member, holding all k of its terms, written once they are all drawn
+    assert [count for _, count in member_pieces] == [0, 1, 3, 6]
+    assert [(piece.count('"k": '), piece.count('"j": ')) for piece, _ in member_pieces] == [
+        (1, k) for k in range(4)
+    ]
     expected = {
         "m": 3,
         "polys": [
