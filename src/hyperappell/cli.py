@@ -9,7 +9,9 @@ the exact values.
 Output is deterministic: JSON keys are sorted, list orders are fixed by
 the library's canonical term ordering, and CSV uses a fixed header and
 line terminator.  Repeated runs with the same flags produce byte-identical
-bytes.
+bytes.  `gen` and `matrices` render their JSON as text, one block or row
+per write, with the bytes of ``json.dumps(..., sort_keys=True, indent=2)``;
+verify, eval and exp hand `emit` a dict, which it writes through json.dumps.
 
 Flags are read from one table, `COMMANDS`, by `parse_args`: exact names
 only, as --flag value or --flag=value; a negative rational may follow its
@@ -34,7 +36,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .jsonwriter import write_json
 from .rationals import approximate
 from .trimatrix import FAMILIES, TRANSFER_FAMILIES
 
@@ -70,17 +71,21 @@ def csv_lines(header: list[str], rows, with_float: bool):
 
 
 def emit(out, output: str | None) -> None:
-    """Write a JSON payload piece by piece, or text whole or in pieces, to stdout or `output`."""
-    def write_out(fh):
-        if isinstance(out, dict):
-            return write_json(out, fh.write)
-        fh.writelines((out,) if isinstance(out, str) else out)
+    """Write text whole or in pieces to stdout or `output`.
 
+    A dict payload (the report of verify, the values of eval or exp) is written whole, as
+    ``json.dumps(out, sort_keys=True, indent=2) + "\n"``.
+    """
+    if isinstance(out, dict):
+        import json  # only the commands that write a payload load it
+
+        out = json.dumps(out, sort_keys=True, indent=2) + "\n"
+    pieces = (out,) if isinstance(out, str) else out
     if output is None:
-        return write_out(sys.stdout)
+        return sys.stdout.writelines(pieces)
     try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            write_out(fh)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc}") from None
 

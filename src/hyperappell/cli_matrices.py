@@ -1,4 +1,8 @@
-"""`matrices`: print H, the derivation matrix, a Pascal matrix or a transfer matrix row by row."""
+"""`matrices`: print H, the derivation matrix, a Pascal matrix or a transfer matrix row by row.
+
+Every format draws and writes one row at a time; the JSON is rendered as
+text here, as `seqfile.sequence_pieces` renders `gen`'s.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ from .trimatrix import (
     appell_rows,
     check_dimension,
     derivation_entry,
-    matrix_json,
     pascal_column,
     subdiagonal_rows,
     transfer_column,
@@ -55,14 +58,33 @@ def _matrix_rows(args):
     return lambda: appell_rows(column)
 
 
+def _json_pieces(m: int, rows, approx: list[list[float]] | None):
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, one piece per row.
+
+    The payload is `matrix_json(m, rows)`, plus "rows_approx" when `approx`
+    is given.  The header is the first piece and the tail the last.  No
+    array is empty: m >= 0, and row i holds i + 1 entries.
+    """
+    yield f'{{\n  "m": {m},\n  "rows": ['
+    sep = ""
+    for row in rows:
+        yield sep + "\n    [" + ",".join(f'\n      "{v}"' for v in row) + "\n    ]"
+        sep = ","
+    sep = '\n  ],\n  "rows_approx": ['
+    for row in approx or ():
+        yield sep + "\n    [" + ",".join("\n      " + float.__repr__(x) for x in row) + "\n    ]"
+        sep = ","
+    yield "\n  ]\n}\n"
+
+
 def cmd_matrices(args) -> int:
     matrix_rows = _matrix_rows(args)
     if args.format == "json":
-        out = matrix_json(args.m, matrix_rows(), array=iter)
+        # every approximation, and the call that refuses a negative order, precede the first byte
+        approx = None
         if args.float:
-            out["rows_approx"] = [
-                [approximate(v, "--float") for v in row] for row in matrix_rows()
-            ]
+            approx = [[approximate(v, "--float") for v in row] for row in matrix_rows()]
+        out = _json_pieces(args.m, matrix_rows(), approx)
     elif args.format == "csv":
         rows = lambda: ((i, j, v) for i, row in enumerate(matrix_rows()) for j, v in enumerate(row))
         out = csv_lines(["i", "j", "value"], rows, args.float)

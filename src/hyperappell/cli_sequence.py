@@ -6,7 +6,6 @@ only an --input file runs the file reader, `seqfile.from_json`.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 
@@ -47,7 +46,9 @@ def load_sequence(args) -> appell.AppellSequence:
     for key, flag in BUILD_FLAGS.items():
         if getattr(args, key) is not None:
             raise ValueError(f"{flag} does not apply to --input: the file fixes the sequence")
-    # the file reader, which a sequence from flags never runs, compiles before the text is held
+    # json and the file reader, which a sequence from flags never runs, load before the text is held
+    import json
+
     from .seqfile import from_json
 
     try:

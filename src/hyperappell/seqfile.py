@@ -4,9 +4,10 @@
 loads it back and refuses any payload no builder could produce.
 `sequence_pieces` is the text `gen` writes, the bytes of that dict's
 ``json.dumps(..., sort_keys=True, indent=2)``, rendered one block
-t_(k-l) phi_l of `transferred_terms` at a time from its integer pairs.
-`member_text` is a member as `gen --format pretty` prints it.  Of the
-commands, only `gen` and `--input` run this module.
+t_(k-l) phi_l of `transferred_terms` at a time from its integer pairs
+(`matrices` renders its rows the same way).  `member_text` is a member as
+`gen --format pretty` prints it.  Of the commands, only `gen` and
+`--input` run this module.
 """
 
 from __future__ import annotations

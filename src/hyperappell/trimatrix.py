@@ -43,9 +43,9 @@ TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
 FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
 
-def matrix_json(m: int, rows, array=list) -> dict:
-    """The one JSON layout of a matrix of order m; `array=iter` leaves the rows lazy for a writer."""
-    return {"m": m, "rows": array([str(v) for v in row] for row in rows)}
+def matrix_json(m: int, rows) -> dict:
+    """The one JSON layout of a matrix of order m (`TriMatrix.to_json`); `matrices` renders it."""
+    return {"m": m, "rows": [[str(v) for v in row] for row in rows]}
 
 
 def check_dimension(n: int, shift: int = 0) -> None:

@@ -808,19 +808,19 @@ WRITER_CASES = {
 }
 
 
-def materialized(value):
-    """`value` with every lazy array (a generator, a map) made a list, as json.dumps needs."""
-    if isinstance(value, dict):
-        return {key: materialized(item) for key, item in value.items()}
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    return [materialized(item) for item in value]
+def json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def flag_values(argv) -> dict:
+    """The flags of a command line as {flag: value}; --float, the one switch, is True."""
+    words = iter(" ".join(argv[1:]).replace("=", " ").split())
+    return {word: True if word == "--float" else next(words) for word in words}
 
 
 def built_gen_text(argv) -> str:
     """json.dumps of the sequence the gen command line `argv` names, built with build_family."""
-    words = iter(" ".join(argv[1:]).replace("=", " ").split())
-    flags = {word: True if word == "--float" else next(words) for word in words}
+    flags = flag_values(argv)
     lam = Fraction(flags["--lambda"]) if "--lambda" in flags else None
     seq = build_family(int(flags["--n"]), int(flags["--m"]), flags.get("--family", "canonical"),
                        c0=Fraction(flags.get("--c0", 1)), lam=lam,
@@ -828,37 +828,47 @@ def built_gen_text(argv) -> str:
     doc = seq.to_json()
     if "--float" in flags:
         doc["coeffs_approx"] = [float(c) for c in seq.coeffs.values]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
+
+
+def matrix_text(matrix, with_float: bool) -> str:
+    """json.dumps of a built matrix, plus "rows_approx" as --float adds it."""
+    doc = matrix.to_json()
+    if with_float:
+        doc["rows_approx"] = [[float(v) for v in row] for row in matrix.rows]
+    return json_text(doc)
+
+
+def built_matrix_text(argv) -> str:
+    """matrix_text of the Pascal or transfer matrix the matrices command line `argv` names."""
+    flags = flag_values(argv)
+    if "--pascal" in flags:
+        family, lam = "pascal", Fraction(flags["--pascal"])
+    else:
+        family = flags["--family"]
+        lam = Fraction(flags["--lambda"]) if "--lambda" in flags else None
+    return matrix_text(built_matrix(family, lam, int(flags["--m"]))[0], "--float" in flags)
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
-def test_json_output_is_json_dumps(tmp_path, monkeypatch, name):
+def test_json_output_is_json_dumps(tmp_path, name):
     doc = build_family(3, 12, "frobenius-euler", lam=Fraction(-3, 7)).to_json()
     doc["polys"][7]["terms"][2]["a"] = "5/3"
     corrupted = tmp_path / "corrupted.json"
     corrupted.write_text(json.dumps(doc))
     argv = [str(corrupted) if arg == "CORRUPTED" else arg for arg in WRITER_CASES[name]]
-    fast = run_main(argv)
+    status, out, err = run_main(argv)
+    # gen and matrices render their text themselves: the built sequence or matrix is the
+    # reference, through to_json and json.dumps
     if argv[0] == "gen":
-        # gen renders its text block by block, without write_json: the built sequence is the
-        # reference, through AppellSequence.to_json and json.dumps
-        assert fast == (0, built_gen_text(argv), "")
-        return
-    calls = []
-
-    def json_dumps(payload, write):
-        calls.append(payload)
-        write(json.dumps(materialized(payload), sort_keys=True, indent=2) + "\n")
-
-    monkeypatch.setattr(cli, "write_json", json_dumps)
-    assert run_main(argv) == fast
-    assert len(calls) == 1
-    assert fast[0] == (1 if name == "verify-witness" else 0), fast[2]
-    assert ('"witness"' in fast[1]) == (name == "verify-witness")
-
-
-def json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert (status, out, err) == (0, built_gen_text(argv), "")
+    elif argv[0] == "matrices":
+        assert (status, out, err) == (0, built_matrix_text(argv), "")
+    else:
+        # verify, eval and exp hand cli.emit a dict, which it writes through json.dumps
+        assert status == (1 if name == "verify-witness" else 0), err
+        assert ('"witness"' in out) == (name == "verify-witness")
+        assert out == json_text(json.loads(out))
 
 
 def lambda_flags(lam):
@@ -939,6 +949,30 @@ def test_streamed_gen_json_writes_one_block_at_a_time(family, lam):
     for piece in out.pieces:
         degrees = [int(i) + int(j) for i, j in re.findall(r'"i": (\d+),\s+"j": (\d+)', piece)]
         assert len(set(degrees)) <= 1 and len(degrees) <= sum(degrees[:1]) + 1, piece
+
+
+@pytest.mark.parametrize("with_float", [False, True])
+@pytest.mark.parametrize(
+    "family, lam", [("canonical", None), TILDE_CASES[-1], *COLUMN_CASES],
+    ids=lambda case: str(case).replace(" ", ""),
+)
+def test_streamed_matrix_json_writes_one_row_at_a_time(family, lam, with_float):
+    # H, the derivation matrix at n = 3, s = 2, and every Pascal and transfer case: the header,
+    # then one piece per row of "rows" (and of "rows_approx" under --float), then the tail; row i
+    # is the one array of its piece and holds its i + 1 entries
+    m = 12
+    matrix, flags = built_matrix(family, lam, m)
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["matrices", "--m", str(m), *flags, *["--float"] * with_float]) == 0
+    assert out.getvalue() == matrix_text(matrix, with_float)
+    row_pieces = out.pieces[1:-1]
+    assert len(row_pieces) == (m + 1) * (1 + with_float)
+    for piece in (out.pieces[0], out.pieces[-1]):
+        assert "\n    [" not in piece, piece
+    for index, piece in enumerate(row_pieces):
+        assert piece.count("\n    [") == 1, piece
+        assert piece.count("\n      ") == index % (m + 1) + 1, piece
 
 
 def csv_text(rows) -> str:
@@ -1196,8 +1230,8 @@ parsers = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
 print(json.dumps({"status": status, "ran": ran, "registered": registered, "parsers": parsers}))
 """
 # What every command runs: the package, the CLI and what it imports: trimatrix for the families
-# its flag table lists, jsonwriter and rationals for the writers every subcommand shares.
-STARTUP_MODULES = {"__init__", "cli", "jsonwriter", "rationals", "trimatrix"}
+# its flag table lists, rationals for the --float column of csv_lines.
+STARTUP_MODULES = {"__init__", "cli", "rationals", "trimatrix"}
 # compile() holds about 3 KB per source line while it runs, so a command's peak memory grows
 # with the largest module it compiles: no module a command runs may be longer than this, counting
 # its docstrings and comments.
