@@ -31,12 +31,12 @@ import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 
 from . import clifford, polynomials  # run on first use: `gen` and `verify` need neither
-from .rationals import ONE, ZERO
-from .trimatrix import FAMILIES, check_dimension, check_lambda, transfer_column
+from .rationals import ONE, ZERO, reduced_fraction
+from .trimatrix import FAMILIES, appell_rows, check_dimension, check_lambda, transfer_column
 
 
 def check_header(family: str, lam: Fraction | None = None, shift: int = 0) -> None:
@@ -243,36 +243,27 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
     Block l of member k, drawn at each t_(k-l) != 0 in increasing l, is
     C(k,l) t_(k-l) phi_l: the list of ((i, j), num, den) with i + j = l and
     num/den = C(k,l) t_(k-l) * C(l,j) c_j in lowest terms, den > 0, made from
-    integers alone.  phi_l is homogeneous of degree l, so walking l, then j,
-    upwards is `sorted_terms` order.  With `reach` the last d of a nonzero
-    t_d, only phi_(k-reach)..phi_k and one row of T are held: one member of
-    phi for the canonical column, all of them for a transfer column, which
-    reaches m or m-1.  Each drawn row keeps its own phi lists, so its
-    generator stays valid as later rows are drawn.  Member k has degree k.
+    the integer pairs of `appell_rows`: row k of T, and row l of the Appell
+    matrix of c, whose entry i is phi_l's x0^i v^(l-i) coefficient.  phi_l
+    is homogeneous of degree l, so walking l, then j, upwards is `sorted_terms`
+    order.  With `reach` the last d of a nonzero t_d, only phi_(k-reach)..phi_k
+    and one row of T are held: one member of phi for the canonical column, all
+    of them for a transfer column, which reaches m or m-1.  Each drawn row keeps
+    its own phi lists, so its generator stays valid as later rows are drawn.
+    Member k has degree k.
     """
-    values = coeffs.values
     gcd = math.gcd
     reach = max((d for d, t in enumerate(column) if t), default=0)
     phi = deque(maxlen=reach + 1)  # phi_(k-reach)..phi_k: row k reads no older member
-    for k in range(len(column)):
-        phi.append([((k - j, j), a.numerator, a.denominator)
-                    for j in range(k + 1) if values[j] for a in [math.comb(k, j) * values[j]]])
-        # row k of T, C(k,l) t_(k-l) with phi_l, at the nonzero t only: a canonical row holds one
-        row = [(t.numerator, t.denominator, phi[l - k - 1])
-               for l in range(max(0, k - reach), k + 1) if column[k - l]
-               for t in [math.comb(k, l) * column[k - l]]]
+    for k, (t_row, c_row) in enumerate(zip(appell_rows(column), appell_rows(coeffs.values))):
+        phi.append([((i, k - i), *c_row[i]) for i in range(k, -1, -1) if c_row[i][0]])
+        # row k of T at the nonzero t only, in the reach window: a canonical row holds one entry
+        row = [(*t_row[l], phi[l - k - 1]) for l in range(max(0, k - reach), k + 1) if t_row[l][0]]
         # each factor's numerator cancelled by the other's denominator, as Fraction multiplies:
         # two gcds of the factors cost less than one of the products once the digits grow
         yield ([(key, (tn // g) * (an // h), (td // h) * (ad // g))
                 for key, an, ad in terms for g in [gcd(tn, ad)] for h in [gcd(an, td)]]
                for tn, td, terms in row)
-
-
-# Fraction of a pair in lowest terms, den > 0, without the second gcd Fraction(num, den) takes:
-# the constructor of Fraction's own arithmetic (CPython 3.12 on; _normalize=False before)
-reduced_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
-    Fraction, _normalize=False
-)
 
 
 def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:

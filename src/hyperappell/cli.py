@@ -36,7 +36,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .rationals import approximate
+from .rationals import ratio_float, ratio_text
 from .trimatrix import FAMILIES, TRANSFER_FAMILIES
 
 # The most terms (of a sequence) or entries (of a matrix) a command may build.
@@ -58,14 +58,17 @@ def triangle(m: int) -> int:
 
 
 def csv_lines(header: list[str], rows, with_float: bool):
-    """CSV lines of the rows `rows()` yields, as they are drawn; the last column is the exact value.
+    """CSV lines of the rows `rows()` yields, as they are drawn.
 
-    --float appends it as "approx", all computed first: a value beyond double range exits 2.
+    The last field of a row is its exact value, the pair (num, den) in lowest terms, den > 0.
+    --float appends num / den as "approx", all computed first: a value beyond double range exits 2.
     """
-    drawn = rows()
+    cells = lambda: ((*row[:-1], ratio_text(*row[-1])) for row in rows())
     if with_float:
-        approx = [approximate(row[-1], "--float") for row in drawn]
-        header, drawn = header + ["approx"], ([*row, a] for row, a in zip(rows(), approx))
+        approx = [ratio_float(*row[-1], "--float") for row in rows()]
+        header, drawn = header + ["approx"], ((*row, a) for row, a in zip(cells(), approx))
+    else:
+        drawn = cells()
     # no field holds a comma, a quote or a line break, so none needs quoting
     return (",".join(map(str, row)) + "\n" for part in ([header], drawn) for row in part)
 

@@ -29,9 +29,10 @@ def _mv_json(mv: clifford.Multivector, with_float: bool) -> dict:
 
 
 def _mv_rows(mv: clifford.Multivector) -> list[list]:
-    """One (blade label, exact coefficient) CSV row per term."""
+    """One (blade label, exact coefficient as (num, den)) CSV row per term."""
     return [
-        ["e" + "".join(map(str, clifford.mask_to_indices(mask))) if mask else "1", coeff]
+        ["e" + "".join(map(str, clifford.mask_to_indices(mask))) if mask else "1",
+         (coeff.numerator, coeff.denominator)]
         for mask, coeff in mv.sorted_terms()
     ]
 
@@ -39,7 +40,7 @@ def _mv_rows(mv: clifford.Multivector) -> list[list]:
 def cmd_eval(args) -> int:
     from .cli_sequence import load_sequence  # here, as `exp` reads no sequence
 
-    seq = load_sequence(args)
+    seq, _ = load_sequence(args)
     point = _parse_point(args.point, seq.n)
     values = eval_at(seq, point)
     check_values(values)

@@ -9,7 +9,7 @@ from .cli import csv_lines, emit
 from .cli_digits import check_digits
 from .cli_sequence import build_flags
 from .rationals import approximate
-from .seqfile import member_text, ratio_text, sequence_pieces
+from .seqfile import member_text, sequence_pieces
 
 
 def cmd_gen(args) -> int:
@@ -20,9 +20,7 @@ def cmd_gen(args) -> int:
         approx = [approximate(c, "--float") for c in coeffs.values] if args.float else None
         out = sequence_pieces(family, coeffs, lam, members(), approx)
     elif args.format == "csv":
-        # --float approximates the last column, so it is a Fraction there
-        value = appell.reduced_fraction if args.float else ratio_text
-        rows = lambda: ((k, i, j, value(num, den))
+        rows = lambda: ((k, i, j, (num, den))
                         for k, member in enumerate(members())
                         for block in member for (i, j), num, den in block)
         out = csv_lines(["k", "i", "j", "a"], rows, args.float)

@@ -37,10 +37,12 @@ def build_flags(args) -> dict:
     return {"n": args.n, "m": args.m, **given}
 
 
-def load_sequence(args) -> appell.AppellSequence:
+def load_sequence(args):
+    """The sequence of the flags or of --input, and the series column it was drawn from, if any."""
     if args.input is None:
         family, coeffs, lam, column = appell.family_terms(**build_flags(args))
-        return appell.AppellSequence(family, appell.family_members(column, coeffs), coeffs, lam)
+        seq = appell.AppellSequence(family, appell.family_members(column, coeffs), coeffs, lam)
+        return seq, column
     if args.n is not None or args.m is not None:
         raise ValueError("--input replaces --n/--m; give one or the other")
     for key, flag in BUILD_FLAGS.items():
@@ -82,4 +84,4 @@ def load_sequence(args) -> appell.AppellSequence:
     if seq.n >= cli.SIZE_BUDGET:  # a failure witness prints n + 1 exponents
         raise ValueError(f"{args.input} has n = {seq.n}, more than the {cli.SIZE_BUDGET - 1}"
                          " allowed for --input")
-    return seq
+    return seq, None

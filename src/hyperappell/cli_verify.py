@@ -24,13 +24,17 @@ def _pretty_report(report: operators.VerifyReport, m: int) -> str:
             lines.append(f"    witness: x^({exps}) * ({coeff})")
     if report.intertwining is not None:
         lines.append(f"intertwining: {_pretty_flag(report.intertwining)}")
+    if report.family_mismatch:
+        mismatch = report.family_mismatch
+        lines.append(f"family: FAIL at k={mismatch['k']}  constant term expected"
+                     f" {mismatch['expected']}  found {mismatch['found']}")
     lines.append("result: " + ("PASS" if report.ok else "FAIL"))
     return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args) -> int:
-    seq = load_sequence(args)
-    report = operators.certify(seq)
+    seq, column = load_sequence(args)
+    report = operators.certify(seq, column)
     out = report.to_json() if args.format == "json" else _pretty_report(report, seq.m)
     emit(out, args.output)
     return 0 if report.ok else 1

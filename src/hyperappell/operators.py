@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import appell, clifford  # run on first use: clifford only for a witness
 from .rationals import ZERO
-from .trimatrix import check_dimension, derivation_entry
+from .trimatrix import check_dimension, derivation_entry, transfer_column
 
 HALF = Fraction(1, 2)
 
@@ -71,10 +71,9 @@ class DegreeCheck(namedtuple("DegreeCheck", "k monogenic ladder witness", defaul
         return out
 
 
-class VerifyReport(
-    namedtuple("VerifyReport", "n family results intertwining shift", defaults=(None, 0))
-):
-    """Per-degree certification results for one sequence."""
+class VerifyReport(namedtuple("VerifyReport", "n family results intertwining shift family_mismatch",
+                              defaults=(None, 0, None))):
+    """Per-degree certification results for one sequence, and where it is not its family."""
 
     __slots__ = ()
     n: int
@@ -82,10 +81,11 @@ class VerifyReport(
     results: list[DegreeCheck]
     intertwining: bool | None
     shift: int
+    family_mismatch: dict | None
 
     @property
     def ok(self) -> bool:
-        if self.intertwining is False:
+        if self.intertwining is False or self.family_mismatch:
             return False
         return all(r.passed for r in self.results)
 
@@ -99,6 +99,8 @@ class VerifyReport(
         }
         if self.intertwining is not None:
             out["intertwining"] = self.intertwining
+        if self.family_mismatch:
+            out["family_mismatch"] = self.family_mismatch
         return out
 
 
@@ -176,13 +178,16 @@ def _passes_by_structure(k: int, a: list[Fraction] | None, prev: list[Fraction] 
     )
 
 
-def certify(seq: appell.AppellSequence) -> VerifyReport:
-    """Full certificate: monogenicity, ladder, and the coefficient identity.
+def certify(seq: appell.AppellSequence, column: list[Fraction] | None = None) -> VerifyReport:
+    """Full certificate: monogenicity, ladder, the coefficient identity and the family.
 
     A degree passes by structure, each term of a part following from its
     neighbour by D's recurrence (l-j+1) a_(l-j+1,j-1) = E_j a_(l-j,j), or is
     decided, with its witness, on the two binary residuals; see the module
-    docstring.
+    docstring.  Once all of that passes, the sequence is T phi for the T of
+    one column t, and as phi_0 = c_0 is the only constant term, p_k(0) =
+    c_0 t_k names T: it must be `column`, the family's `transfer_column`
+    unless given, or the report names the first k where it is not.
 
     Sequences with a positive shift are coefficient skeletons of products
     with an extra monogenic factor that is not represented here; only the
@@ -190,12 +195,13 @@ def certify(seq: appell.AppellSequence) -> VerifyReport:
     skipped.
     """
     intertwining = check_intertwining(seq.coeffs)
-    results = []
+    results, constants, mismatch = [], [], None
     if seq.shift == 0:
         # D from n, not seq.coeffs: monogenicity is a property of the polynomials alone
-        entries = [-int(derivation_entry(seq.n, j)) for j in range(seq.m + 1)]
+        entries = [-derivation_entry(seq.n, j) for j in range(seq.m + 1)]
         prev, prev_alphas = None, []
         for k, poly in enumerate(seq.members()):
+            constants.append(poly.coefficient(0, 0))
             alphas = _multiples(poly, k, entries)
             if _passes_by_structure(k, alphas, prev_alphas):
                 results.append(DegreeCheck(k, True, True))
@@ -208,4 +214,10 @@ def certify(seq: appell.AppellSequence) -> VerifyReport:
                 witness = None if failed is None else _binary_witness(failed, seq.n)
                 results.append(DegreeCheck(k, monogenic.is_zero(), ladder.is_zero(), witness))
             prev, prev_alphas = poly, alphas
-    return VerifyReport(seq.n, seq.family, results, intertwining, seq.shift)
+        if intertwining and all(r.passed for r in results):
+            c0 = seq.coeffs.values[0]
+            column = transfer_column(seq.family, seq.m, seq.lam) if column is None else column
+            mismatch = next(({"k": k, "expected": str(c0 * t), "found": str(a)}
+                             for k, (t, a) in enumerate(zip(column, constants)) if c0 * t != a),
+                            None)
+    return VerifyReport(seq.n, seq.family, results, intertwining, seq.shift, mismatch)

@@ -19,7 +19,7 @@ from .appell import AppellPoly, AppellSequence, vector_power_expansion
 from .clifford import Multivector, Paravector
 from .operators import HALF, DegreeCheck, VerifyReport
 from .polynomials import CliffordPoly
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, reduced_fraction
 from .trimatrix import (
     appell_rows,
     check_dimension,
@@ -60,6 +60,11 @@ class TriMatrix:
         matrix = object.__new__(cls)
         matrix.rows = rows
         return matrix
+
+    @classmethod
+    def _of_pairs(cls, rows) -> "TriMatrix":
+        """The matrix of rows of (num, den) pairs in lowest terms, as `trimatrix` draws them."""
+        return cls._of_rows([[reduced_fraction(*v) for v in row] for row in rows])
 
     @property
     def order(self) -> int:
@@ -203,7 +208,7 @@ def creation_matrix(m: int) -> TriMatrix:
     differentiation, and its terminating exponential generates the Pascal
     matrices.
     """
-    return TriMatrix._of_rows(list(subdiagonal_rows(m, Fraction)))
+    return TriMatrix._of_pairs(subdiagonal_rows(m, int))
 
 
 def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
@@ -212,7 +217,7 @@ def derivation_matrix(n: int, m: int, shift: int = 0) -> TriMatrix:
     Its one nonzero diagonal is `derivation_entry` at (i, i-1); n = 1, shift = 0 gives -H.
     """
     check_dimension(n, shift)
-    return TriMatrix._of_rows(list(subdiagonal_rows(m, lambda i: derivation_entry(n, i, shift))))
+    return TriMatrix._of_pairs(subdiagonal_rows(m, lambda i: derivation_entry(n, i, shift)))
 
 
 def nilpotent_exp(matrix: TriMatrix, t: Fraction) -> TriMatrix:
@@ -243,7 +248,7 @@ def appell_matrix(column: Sequence[Fraction]) -> TriMatrix:
     (k! [z^k] f) are the t_k; its first column is the t_k themselves.
     """
     column = [v if type(v) is Fraction else Fraction(v) for v in column]
-    return TriMatrix._of_rows(list(appell_rows(column)))
+    return TriMatrix._of_pairs(appell_rows(column))
 
 
 def pascal_matrix(x0: Fraction, m: int) -> TriMatrix:

@@ -22,12 +22,7 @@ from .appell import (
     check_header,
     coefficient_sequence,
 )
-from .rationals import ONE, read_rational
-
-
-def ratio_text(num: int, den: int) -> str:
-    """The text of num/den in lowest terms, den > 0, as str(Fraction(num, den)) gives it."""
-    return f"{num}" if den == 1 else f"{num}/{den}"
+from .rationals import ONE, ratio_text, read_rational
 
 
 def member_text(terms) -> str:

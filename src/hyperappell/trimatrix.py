@@ -12,10 +12,11 @@ series f is the Appell matrix T[i][j] = C(i, j) t_(i-j), where t_k = k! times
 the coefficient of z^k in f: the whole matrix is fixed by its first column.
 `transfer_column` computes that column in O(m^2) for each name in FAMILIES,
 the one family dispatch (canonical is f = 1, the identity).  `appell_rows`
-draws the rows from it one at a time, and `subdiagonal_rows` those of H
-and of the derivation matrices from their one subdiagonal, so a caller that
-consumes a row before drawing the next never holds O(m^2) entries.  Each
-Pascal and transfer matrix is f(H) for one series:
+draws the rows from it one at a time, the one definition of an entry of
+f(H), and `subdiagonal_rows` those of H and of the derivation matrices from
+their one subdiagonal, so a caller that consumes a row before drawing the
+next never holds O(m^2) entries.  Each Pascal and transfer matrix is f(H)
+for one series:
 
     canonical           1
     Pascal P(x0)        exp(x0 z)
@@ -28,14 +29,16 @@ The column of a reciprocal series comes from `egf_reciprocal`, with one
 Fraction normalization per coefficient instead of one per product and
 partial sum.  The matrices themselves, as `TriMatrix` values, and the
 defining matrix series (`nilpotent_exp`, `tri_inverse`) are in `reference`.
-Entries are Fractions throughout; nothing here ever rounds.
+Columns are Fractions; the rows are drawn as integer pairs (num, den) in
+lowest terms, den > 0, which callers render or turn into Fractions.
+Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import comb, lcm
+from math import gcd, lcm
 
 from .rationals import ONE, ZERO
 
@@ -56,7 +59,7 @@ def check_dimension(n: int, shift: int = 0) -> None:
         raise ValueError("shift must be nonnegative")
 
 
-def derivation_entry(n: int, i: int, shift: int = 0) -> Fraction:
+def derivation_entry(n: int, i: int, shift: int = 0) -> int:
     """Entry (i, i-1) of the derivation matrix, for any row i >= 1.
 
     -(n + i + 2*shift - 1) for odd i and -i for even i.  With shift = 0 this
@@ -64,29 +67,44 @@ def derivation_entry(n: int, i: int, shift: int = 0) -> Fraction:
     and -(n+k-1) v^(k-1) for odd k; shift > 0 is the variant for sequences
     that carry a fixed monogenic polynomial factor of degree `shift`.
     """
-    if i % 2:
-        return Fraction(-(n + i + 2 * shift - 1))
-    return Fraction(-i)
+    return -(n + i + 2 * shift - 1) if i % 2 else -i
 
 
-def subdiagonal_rows(m: int, entry) -> Iterator[list[Fraction]]:
+def subdiagonal_rows(m: int, entry) -> Iterator[list[tuple[int, int]]]:
     """The rows of the order-m matrix whose only nonzero entries are entry(i) at (i, i-1).
 
-    A negative order is refused at the call, before the first row is drawn.
+    entry(i) is an integer, and every entry is drawn as the pair (num, 1).  A negative order
+    is refused at the call, before the first row is drawn.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    return ([ZERO] * (i - 1) + [entry(i), ZERO] if i else [ZERO] for i in range(m + 1))
+    zero = (0, 1)
+    return ([zero] * (i - 1) + [(entry(i), 1), zero] if i else [zero] for i in range(m + 1))
 
 
-def appell_rows(column: Sequence[Fraction]) -> Iterator[list[Fraction]]:
+def binomial_rows() -> Iterator[list[int]]:
+    """C(k, 0..k) for k = 0, 1, ...: each row from the last by Pascal's rule, one addition each."""
+    row: list[int] = []
+    while True:
+        row = [1] + [a + b for a, b in zip(row, row[1:] + [0])]
+        yield row
+
+
+def appell_rows(column: Sequence[Fraction]) -> Iterator[list[tuple[int, int]]]:
     """The rows [C(i, j) t_(i-j) for j = 0..i] of the Appell matrix of t_0..t_m, one at a time.
 
-    An empty column is refused at the call, before the first row is drawn.
+    Each entry is the pair (num, den) in lowest terms, den > 0: with t = p/q
+    reduced and g = gcd(C(i, j), q), it is (C(i, j)/g * p, q/g), one gcd per
+    entry, of a binomial from `binomial_rows` (a zero t has q = 1, so its
+    entry is (0, 1)).  An empty column is refused at the call, before the
+    first row is drawn.
     """
     if not column:
         raise ValueError("order must be nonnegative")
-    return ([comb(i, j) * column[i - j] for j in range(i + 1)] for i in range(len(column)))
+    pairs = [(t.numerator, t.denominator) for t in column]
+    return ([(c // g * p, q // g) for c, (p, q) in zip(binomials, pairs[i::-1])
+             for g in [gcd(c, q)]]
+            for i, binomials in zip(range(len(pairs)), binomial_rows()))
 
 
 def egf_reciprocal(g: Sequence[Fraction]) -> list[Fraction]:
@@ -103,10 +121,7 @@ def egf_reciprocal(g: Sequence[Fraction]) -> list[Fraction]:
     f_num: list[int] = []
     f_den: list[int] = []
     f: list[Fraction] = []
-    binomials: list[int] = []
-    for k in range(len(g)):
-        # C(k, 0..k) from C(k-1, 0..k-1) by Pascal's rule: one addition per entry
-        binomials = [1] + [a + b for a, b in zip(binomials, binomials[1:] + [0])]
+    for k, binomials in zip(range(len(g)), binomial_rows()):
         pairs = [
             (binomials[l] * g_num[k - l] * f_num[l], g_den[k - l] * f_den[l])
             for l in range(k)

@@ -193,6 +193,34 @@ def test_verify_corrupted_input_fails_with_witness(tmp_path):
     assert "witness" in bad and bad["witness"]["coeff"]["terms"]
 
 
+def test_verify_input_certifies_the_family(tmp_path):
+    # every degree of both files passes: only the constant terms p_k(0) = c_0 t_k name the family
+    relabelled = gen_json("--n", "2", "--m", "3")
+    relabelled["family"] = "bernoulli"
+    padded = gen_json("--n", "2", "--m", "3", "--family", "bernoulli")
+    padded["polys"][3]["terms"].append({"i": 0, "j": 0, "a": "5"})
+    cases = [
+        (relabelled, {"k": 1, "expected": "-1/2", "found": "0"}),
+        (padded, {"k": 3, "expected": "0", "found": "5"}),
+    ]
+    for doc, mismatch in cases:
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run_main(["verify", "--input", str(path)])
+        report = json.loads(out)
+        assert (status, err, report["ok"]) == (1, "", False)
+        assert report["family_mismatch"] == mismatch
+        assert all(r["monogenic"] and r["ladder"] for r in report["results"])
+        status, out, _ = run_main(["verify", "--input", str(path), "--format", "pretty"])
+        line = (f"family: FAIL at k={mismatch['k']}  constant term expected"
+                f" {mismatch['expected']}  found {mismatch['found']}")
+        assert status == 1 and out.splitlines()[-2:] == [line, "result: FAIL"], out
+    # the key is written only on a mismatch
+    path.write_text(json.dumps(gen_json("--n", "2", "--m", "3", "--family", "bernoulli")))
+    status, out, _ = run_main(["verify", "--input", str(path)])
+    assert status == 0 and "family_mismatch" not in json.loads(out)
+
+
 def test_verify_shifted_runs_intertwining_only():
     proc = run_cli("verify", "--n", "2", "--m", "5", "--shift", "2")
     assert proc.returncode == 0
@@ -1039,6 +1067,30 @@ def test_streamed_pretty_is_the_built_text_one_write_per_line(family, lam, m):
         assert out.writes == len(pieces)
 
 
+def reference_matrix_text(matrix, fmt: str, with_float: bool) -> str:
+    """The text `matrices` prints for a reference matrix, from str and float of its Fractions."""
+    if fmt == "json":
+        return matrix_text(matrix, with_float)
+    if fmt == "csv":
+        tail = (lambda v: f",{float(v)}") if with_float else (lambda v: "")
+        return f"i,j,value{',approx' * with_float}\n" + "".join(
+            f"{i},{j},{v}{tail(v)}\n" for i, row in enumerate(matrix.rows) for j, v in enumerate(row)
+        )
+    width = max(len(str(v)) for row in matrix.rows for v in row)
+    return "".join(" ".join(str(v).rjust(width) for v in row) + "\n" for row in matrix.rows)
+
+
+@pytest.mark.parametrize("m", STREAM_ORDERS)
+@pytest.mark.parametrize("family, lam", [("canonical", None), *COLUMN_CASES, *TILDE_CASES])
+def test_matrices_in_every_format_is_the_text_of_the_reference_fractions(family, lam, m):
+    # the rows are drawn as integer pairs; each format must render them as their Fractions do
+    matrix, flags = built_matrix(family, lam, m)
+    formats = [("json", False), ("json", True), ("csv", False), ("csv", True), ("pretty", False)]
+    for fmt, with_float in formats:
+        argv = ["matrices", "--m", str(m), *flags, "--format", fmt, *["--float"] * with_float]
+        assert run_main(argv) == (0, reference_matrix_text(matrix, fmt, with_float), ""), argv
+
+
 def peak_bytes(argv) -> int:
     """tracemalloc peak of one in-process command, its output sent to devnull.
 
@@ -1641,7 +1693,7 @@ def test_verify_high_dimension_stays_in_binary_form():
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    def broken(seq):
+    def broken(seq, column=None):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(operators, "certify", broken)
@@ -1715,8 +1767,12 @@ def test_mutated_input_file_exits_0_1_or_2(tmp_path_factory, case, command):
     assert status in (0, 1, 2), (status, err)
     assert "Traceback" not in err and "internal error" not in err, err
     if status == 1:
-        failed = [r for r in json.loads(out)["results"] if not (r["monogenic"] and r["ladder"])]
-        assert failed and all("witness" in r for r in failed), out
+        # a failing degree carries its witness; once every degree passes, only a constant term
+        # that is not c_0 t_k of the family's column fails the file
+        report = json.loads(out)
+        failed = [r for r in report["results"] if not (r["monogenic"] and r["ladder"])]
+        assert all("witness" in r for r in failed), out
+        assert bool(failed) != ("family_mismatch" in report), out
     if status == 2:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
     else:

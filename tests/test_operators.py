@@ -35,7 +35,9 @@ from hyperappell.reference import (
     derivation_matrix,
     dirac,
     expand_multivariate,
+    expand_sequence,
     partial_x0,
+    transfer_matrix,
 )
 from hyperappell.trimatrix import derivation_entry
 
@@ -183,7 +185,7 @@ def reference_report(seq):
             row["witness"] = witness
         rows.append(row)
     ok = intertwining and all(r["monogenic"] and r["ladder"] for r in rows)
-    return {
+    report = {
         "n": seq.n,
         "family": seq.family,
         "s": seq.shift,
@@ -191,6 +193,17 @@ def reference_report(seq):
         "results": rows,
         "intertwining": intertwining,
     }
+    if ok and rows:
+        # p_k(0), the constant of the expansion, against c_0 times column 0 of the reference matrix
+        matrix = transfer_matrix(seq.family, seq.m, seq.lam)
+        for k, poly in enumerate(expand_sequence(seq)):
+            expected = seq.coeffs.values[0] * matrix[k, 0]
+            found = poly.terms.get((0,) * (seq.n + 1), Multivector.zero(seq.n)).scalar_part()
+            if expected != found:
+                report["ok"] = False
+                report["family_mismatch"] = {"k": k, "expected": str(expected), "found": str(found)}
+                break
+    return report
 
 
 def random_rational(rng):
@@ -393,7 +406,9 @@ def test_one_corruption_forms_residuals_at_its_degree_and_the_next(monkeypatch):
                     degrees.clear()
                     report = certify(case)
                     assert set(degrees) <= {k, k + 1}, (family, n, m, k, degrees)
-                    assert bool(degrees) == (not report.ok), (family, n, m, k)
+                    # a corruption that every degree passes is a wrong constant term: the family
+                    assert not report.ok, (family, n, m, k)
+                    assert bool(degrees) == (report.family_mismatch is None), (family, n, m, k)
 
 
 def test_corrupted_coefficient_fails_with_witness():

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -336,7 +337,32 @@ def test_transfer_column_is_column_0_of_the_reference(family, lam, m):
         column = transfer_column(family, m, lam)
     assert column == [reference[i, 0] for i in range(m + 1)]
     assert all(type(v) is Fraction for v in column)
-    assert list(appell_rows(column)) == reference.rows
+    # the rows are drawn as pairs in lowest terms, which a Fraction of the reference holds too
+    pairs = [[(v.numerator, v.denominator) for v in row] for row in reference.rows]
+    assert list(appell_rows(column)) == pairs
+
+
+# columns with zeros, negatives, integers and numerators of up to 100 digits
+column_entries = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), egf_entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(column_entries, min_size=1, max_size=16))
+@example([Fraction(0)])
+@example([Fraction(-3, 7), Fraction(0), Fraction(5), Fraction(10**60 + 1, 2 * 3 * 5 * 7)])
+def test_appell_rows_are_reduced_pairs_of_the_binomial_products(column):
+    rows = list(appell_rows(column))
+    assert [len(row) for row in rows] == list(range(1, len(column) + 1))
+    for i, row in enumerate(rows):
+        for j, (num, den) in enumerate(row):
+            assert type(num) is int and type(den) is int
+            assert den > 0 and math.gcd(num, den) == 1, (i, j, num, den)
+            assert Fraction(num, den) == math.comb(i, j) * column[i - j], (i, j)
+
+
+def test_appell_rows_refuses_an_empty_column_at_the_call():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        appell_rows([])
 
 
 def test_canonical_column_is_the_identity():
