@@ -19,6 +19,9 @@ usual, where they are used: `cli.main` imports the handler of the one
 subcommand it runs.  So a command compiles no code for another concern,
 and no module it runs passes 400 lines, since the peak memory of
 compiling a module grows with its length.
+
+No command runs `clifford` or `polynomials`; they serve the library, the
+reference route and `appell.vector_power_expansion`, kept for bench/tracer.py.
 """
 
 import importlib.util

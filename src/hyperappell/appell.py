@@ -11,7 +11,8 @@ Cauchy-Riemann operator.  The working constraint is the recurrence
 
     c_{2k} = c_{2k-1},      c_{2k-1} = (2k-1) / (n + 2k + 2s - 2) * c_{2k-2},
 
-whose closed form is c_{2k} = (2k-1)!! (n+2s-2)!! / (n+2k+2s-2)!! * c_0
+that is c_k = c_(k-1) k / -Ht[k, k-1] with Ht the derivation matrix.  Its
+closed form is c_{2k} = (2k-1)!! (n+2s-2)!! / (n+2k+2s-2)!! * c_0
 (s = 0 is the plain case; s > 0 belongs to sequences carrying an opaque
 monogenic factor of degree s and is kept at the coefficient level only).
 
@@ -34,9 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import clifford, polynomials  # run on first use: `gen` and `verify` need neither
+from . import clifford, polynomials  # run on first use: no command runs them
 from .rationals import ONE, ZERO, reduced_fraction
-from .trimatrix import FAMILIES, appell_rows, check_dimension, check_lambda, transfer_column
+from .trimatrix import (FAMILIES, appell_rows, check_dimension, check_lambda, derivation_entry,
+                        transfer_column)
 
 
 def check_header(family: str, lam: Fraction | None = None, shift: int = 0) -> None:
@@ -76,7 +78,8 @@ def coefficient_sequence(
 ) -> CoeffSequence:
     """Coefficients c_0..c_m making the degree ladder monogenic.
 
-    Built by the recurrence, which covers n = 1 (all entries equal c_0,
+    Built by the recurrence c_k = c_(k-1) k / -Ht[k, k-1] on the entries of
+    `trimatrix.derivation_entry`, which covers n = 1 (all entries equal c_0,
     the complex case) and n > 1 uniformly; the closed double-factorial
     form, `reference.closed_form_coefficient`, gives the same values.
     """
@@ -88,11 +91,7 @@ def coefficient_sequence(
         raise ValueError("c0 must be nonzero: the diagonal matrix must be invertible")
     values = [c0]
     for k in range(1, m + 1):
-        if k % 2 == 1:
-            # k = 2r-1: denominator n + 2r + 2s - 2 = n + k + 2s - 1
-            values.append(values[-1] * Fraction(k, n + k + 2 * shift - 1))
-        else:
-            values.append(values[-1])
+        values.append(values[-1] * Fraction(k, -derivation_entry(n, k, shift)))
     return CoeffSequence(n, shift, tuple(values))
 
 
@@ -178,8 +177,8 @@ class AppellSequence:
     """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n, s and m live in coeffs.
 
     `polys` is any iterable of the members in degree order, such as a list or
-    `family_members`; `certify`, `evaluate.eval_at` and `to_json` each draw it once, through
-    `members`.
+    `family_members`; `certify`, `evaluate.binary_values` and `to_json` each draw it once,
+    through `members`.
     """
 
     def __init__(

@@ -73,6 +73,27 @@ def csv_lines(header: list[str], rows, with_float: bool):
     return (",".join(map(str, row)) + "\n" for part in ([header], drawn) for row in part)
 
 
+def value_text(terms) -> str:
+    """The text `str(Multivector)` gives of the (blade, coefficient) terms, in graded order.
+
+    A blade is its ascending generator indices, () for the scalar; the text of a coefficient
+    is that of its Fraction, so a term may hold either.  A unit on a blade is left out.
+    """
+    text = ""
+    for blade, coeff in terms:
+        coeff = str(coeff)
+        body = coeff.lstrip("-")
+        if blade:
+            name = "e" + "".join(map(str, blade))
+            body = name if body == "1" else f"{body}*{name}"
+        negative = coeff.startswith("-")
+        if text:
+            text += (" - " if negative else " + ") + body
+        else:
+            text = ("-" if negative else "") + body
+    return text or "0"
+
+
 def emit(out, output: str | None) -> None:
     """Write text whole or in pieces to stdout or `output`.
 

@@ -39,6 +39,6 @@ def check_bound(bound: int) -> None:
 
 
 def check_values(values) -> None:
-    """Refuse, before the first byte, computed values of `eval` or `exp` past the digit limit."""
-    parts = (c for mv in values for c in mv.terms.values())
+    """Refuse, before the first byte, `eval` or `exp` values (term lists) past the digit limit."""
+    parts = (c for terms in values for _, c in terms)
     check_bound(max((max(abs(c.numerator), c.denominator) for c in parts), default=0))

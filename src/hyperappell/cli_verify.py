@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from . import clifford, operators  # run on first use: clifford only for a pretty witness
-from .cli import emit
+from . import operators  # runs on first use
+from .cli import emit, value_text
 from .cli_sequence import load_sequence
 
 
@@ -20,7 +20,7 @@ def _pretty_report(report: operators.VerifyReport, m: int) -> str:
         )
         if check.witness is not None:
             exps = ",".join(str(e) for e in check.witness["exponents"])
-            coeff = clifford.Multivector.from_json(check.witness["coeff"])
+            coeff = value_text((t["blade"], t["coeff"]) for t in check.witness["coeff"]["terms"])
             lines.append(f"    witness: x^({exps}) * ({coeff})")
     if report.intertwining is not None:
         lines.append(f"intertwining: {_pretty_flag(report.intertwining)}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import appell, clifford  # run on first use: clifford only for a witness
+from . import appell  # runs on first use
 from .rationals import ZERO
 from .trimatrix import check_dimension, derivation_entry, transfer_column
 
@@ -132,12 +132,13 @@ def _binary_witness(residual: appell.AppellPoly, n: int) -> dict:
     """Graded-lex leading term of the residual expanded over x0..xn.
 
     x0^i v^j expands into monomials of x0-degree i and total degree i+j; the
-    first is x0^i xn^j, with coefficient (-1)^(j//2), times e_n for odd j.
+    first is x0^i xn^j, with coefficient (-1)^(j//2), times e_n for odd j: one
+    blade, written in the {"n", "terms"} layout of `Multivector.to_json`.
     """
     i, j = min(residual.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))
     coeff = residual.terms[(i, j)] * (-1) ** (j // 2)
-    blade = clifford.Multivector.blade(n, (n,) if j % 2 else (), coeff)
-    return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": blade.to_json()}
+    term = {"blade": [n] if j % 2 else [], "coeff": str(coeff)}
+    return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": {"n": n, "terms": [term]}}
 
 
 def _multiples(poly: appell.AppellPoly, k: int, entries: list[int]):

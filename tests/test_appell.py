@@ -71,7 +71,7 @@ def test_recurrence_matches_closed_form_on_grid():
     for c0 in (Fraction(1), Fraction(-3, 7)):
         for n in [*range(1, 9), 10**9]:
             for s in range(4):
-                cs = coefficient_sequence(n, 40, c0=c0, shift=s)
+                cs = coefficient_sequence(n, 60, c0=c0, shift=s)
                 for k, value in enumerate(cs.values):
                     assert value == closed_form_coefficient(n, k, c0=c0, shift=s), (c0, n, s, k)
 

@@ -17,18 +17,21 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperappell import (
     FAMILIES,
+    Multivector,
     Paravector,
     appell,
     build_family,
     build_phi,
     certify,
     cli,
+    cli_evaluate,
     cli_sequence,
+    cli_verify,
     coefficient_sequence,
     creation_matrix,
     derivation_matrix,
@@ -37,6 +40,7 @@ from hyperappell import (
     pascal_matrix,
     transfer_matrix,
 )
+from hyperappell.clifford import mask_to_indices
 from hyperappell.trimatrix import transfer_column
 
 from test_trimatrix import COLUMN_CASES, STREAM_ORDERS
@@ -647,6 +651,62 @@ def test_eval_from_input_checks_point_dimension(tmp_path):
     assert good.returncode == 0
     bad = run_cli("eval", "--input", str(path), "--point", "1,1")
     assert bad.returncode == 2
+
+
+# -- A + B v and a witness, rendered without the Clifford algebra ---------------
+
+# 0, +-1 and +-p/q, with zeros and units drawn often
+RATIONALS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 8), scalar=RATIONALS, vec_coeff=RATIONALS,
+       coords=st.lists(RATIONALS, min_size=8, max_size=8))
+@example(n=1, scalar=Fraction(0), vec_coeff=Fraction(0), coords=[Fraction(1)] * 8)
+@example(n=3, scalar=Fraction(-1), vec_coeff=Fraction(1), coords=[Fraction(0), Fraction(-1)] * 4)
+@example(n=8, scalar=Fraction(0), vec_coeff=Fraction(-3, 7), coords=[Fraction(1)] * 8)
+@example(n=2, scalar=Fraction(5, 2), vec_coeff=Fraction(0), coords=[Fraction(2)] * 8)
+def test_values_render_as_the_multivector_they_are(n, scalar, vec_coeff, coords):
+    # eval and exp render A + B v from its terms; Multivector's own JSON, text and terms of
+    # A + sum_k B x_k e_k are the reference, as the commands printed them through it
+    vec = tuple(coords[:n])
+    mv = sum((Multivector.generator(n, k) * (vec_coeff * x) for k, x in enumerate(vec, start=1)),
+             Multivector.scalar(n, scalar))
+    terms = cli_evaluate._terms((scalar, vec_coeff), vec)
+    assert cli_evaluate._value_json(n, terms, False) == mv.to_json()
+    approx = mv.to_json()
+    for term, (_, coeff) in zip(approx["terms"], mv.sorted_terms()):
+        term["approx"] = float(coeff)
+    assert cli_evaluate._value_json(n, terms, True) == approx
+    assert cli.value_text(terms) == str(mv)
+    labels = ["e" + "".join(map(str, mask_to_indices(mask))) if mask else "1"
+              for mask, _ in mv.sorted_terms()]
+    rows = [[label, (c.numerator, c.denominator)] for label, (_, c) in zip(labels, mv.sorted_terms())]
+    assert cli_evaluate._rows(terms) == rows
+    for with_float, header in ((False, "blade,coeff"), (True, "blade,coeff,approx")):
+        text = [f"{label},{c}" + (f",{float(c)}" if with_float else "")
+                for label, (_, c) in zip(labels, mv.sorted_terms())]
+        lines = cli.csv_lines(["blade", "coeff"], lambda: cli_evaluate._rows(terms), with_float)
+        assert list(lines) == [line + "\n" for line in [header, *text]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("j", [0, 1, 2, 3], ids=["scalar", "e_n", "scalar-j2", "e_n-j3"])
+@pytest.mark.parametrize("a", ["1", "-1", "3/7", "-5/2"])
+def test_witness_is_one_blade_in_the_layout_and_text_of_its_multivector(n, j, a):
+    # the first term x0^2 xn^j of x0^2 v^j has coefficient (-1)^(j//2), on e_n for odd j
+    residual = appell.AppellPoly(2 + j, {(2, j): Fraction(a)})
+    witness = operators._binary_witness(residual, n)
+    blade = Multivector.blade(n, (n,) if j % 2 else (), Fraction(a) * (-1) ** (j // 2))
+    assert witness == {"exponents": [2] + [0] * (n - 1) + [j], "coeff": blade.to_json()}
+    check = operators.DegreeCheck(2 + j, False, None, witness)
+    report = operators.VerifyReport(n, "canonical", [check], True)
+    exps = ",".join(map(str, witness["exponents"]))
+    line = cli_verify._pretty_report(report, 2 + j).splitlines()[2]
+    assert line == f"    witness: x^({exps}) * ({Multivector.from_json(witness['coeff'])})"
 
 
 # -- matrices ------------------------------------------------------------------
@@ -1306,10 +1366,11 @@ def _formats(*commands, formats=("json", "csv", "pretty")):
 MATRICES_RUNS = {"cli_matrices", "cli_digits"}
 GEN_RUNS = {"cli_gen", "cli_digits", "cli_sequence", "seqfile", "appell"}
 VERIFY_RUNS = {"cli_verify", "cli_sequence", "appell", "operators"}
-EXP_RUNS = {"cli_evaluate", "cli_digits", "evaluate", "appell", "clifford"}
+EXP_RUNS = {"cli_evaluate", "cli_digits", "evaluate", "appell"}
 EVAL_RUNS = EXP_RUNS | {"cli_sequence"}
 # (status, those modules, argv); {good} and {bad} are a gen file and a copy with one term
-# changed, whose failure witness is a multivector; only --input runs the file reader, seqfile
+# changed, whose failure witness is one blade, written without the Clifford algebra; only
+# --input runs the file reader, seqfile
 RUN_CASES = (
     [(0, MATRICES_RUNS, argv) for argv in _formats(*MATRICES)
      + [[*MATRICES[-1], "--float"], [*MATRICES[-1], "--format", "csv", "--float"]]]
@@ -1317,7 +1378,7 @@ RUN_CASES = (
        + [[*GEN, "--float"], ["gen", "--n", "2", "--m", "3", "--output", "{out}"]]]
     + [(0, VERIFY_RUNS, argv) for argv in _formats(VERIFY, formats=("json", "pretty"))]
     + [(0, VERIFY_RUNS | {"seqfile"}, ["verify", "--input", "{good}"])]
-    + [(1, VERIFY_RUNS | {"seqfile", "clifford"}, argv)
+    + [(1, VERIFY_RUNS | {"seqfile"}, argv)
        for argv in _formats(["verify", "--input", "{bad}"], formats=("json", "pretty"))]
     + [(0, EVAL_RUNS, argv) for argv in _formats(EVAL)]
     + [(0, EVAL_RUNS | {"seqfile"}, ["eval", "--input", "{good}", *POINT])]
