@@ -21,9 +21,9 @@ creation matrix, D_c the diagonal of the c_j and xi(v) the column of vector
 powers; classical families (Bernoulli, Euler, Frobenius-Euler, Hermite)
 arise by applying their transfer matrices f(H) to the basic sequence.
 `transferred_terms` computes T phi block by block, in integer pairs, from the
-first column of T = f(H), and `family_members` yields its members one at a
-time: a caller that uses each as it is drawn holds one row of T and the
-members of phi it reads, never the O(m^3) terms of T phi.
+first column of T = f(H); `family_pairs` yields its members one at a time as
+{(i, j): (num, den)}, the form `certify` and `eval` read (`AppellPoly.pairs`),
+holding one row of T and the members of phi it reads, never all of T phi.
 """
 
 from __future__ import annotations
@@ -121,8 +121,14 @@ class AppellPoly:
                     clean[(i, j)] = value
         self.terms = clean
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), ZERO)
+    @classmethod
+    def of_pairs(cls, degree: int, terms: Mapping[tuple[int, int], tuple[int, int]]) -> "AppellPoly":
+        """The member {(i, j): (num, den)} as an AppellPoly; each pair in lowest terms, den > 0."""
+        return cls(degree, {key: reduced_fraction(*pair) for key, pair in terms.items()})
+
+    def pairs(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """The terms as {(i, j): (num, den)} in lowest terms, den > 0."""
+        return {key: (a.numerator, a.denominator) for key, a in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -176,18 +182,13 @@ class AppellPoly:
 class AppellSequence:
     """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n, s and m live in coeffs.
 
-    `polys` is any iterable of the members in degree order, such as a list or
-    `family_members`; `certify`, `evaluate.binary_values` and `to_json` each draw it once,
-    through `members`.
+    `polys` is any iterable of the members in degree order, AppellPolys or pair dicts,
+    such as a list or `family_pairs`; `certify`, `evaluate.binary_values` and `to_json`
+    each draw it once, through `members`.
     """
 
-    def __init__(
-        self,
-        family: str,
-        polys: Iterable[AppellPoly],
-        coeffs: CoeffSequence,
-        lam: Fraction | None = None,
-    ):
+    def __init__(self, family: str, polys: Iterable[AppellPoly | dict], coeffs: CoeffSequence,
+                 lam: Fraction | None = None):
         self.family = family
         self.polys = polys
         self.coeffs = coeffs
@@ -218,13 +219,13 @@ class AppellSequence:
     def m(self) -> int:
         return self.coeffs.m
 
-    def members(self) -> Iterator[AppellPoly]:
-        """p_0..p_m drawn from `polys`, refusing (ValueError) a stream that ends early or runs on."""
+    def members(self) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
+        """p_0..p_m as pair dicts, refusing (ValueError) a stream that ends early or runs on."""
         k = -1
         for k, poly in enumerate(self.polys):
             if k > self.m:
                 raise ValueError(f"member {k} is past the degree m = {self.m} of the coefficients")
-            yield poly
+            yield poly.pairs() if isinstance(poly, AppellPoly) else poly
         if k < self.m:
             raise ValueError(f"member {k + 1} is missing: the members end before m = {self.m}")
 
@@ -232,7 +233,8 @@ class AppellSequence:
         """The `gen` JSON of this sequence; `seqfile.from_json` loads it back."""
         from .seqfile import sequence_json
 
-        members = (poly.sorted_terms() for poly in self.members())
+        members = (sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0][1]))
+                   for terms in self.members())
         return sequence_json(self.family, self.coeffs, self.lam, members)
 
 
@@ -265,13 +267,15 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
                for tn, td, terms in row)
 
 
+def family_pairs(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[dict]:
+    """The members of `transferred_terms(column, coeffs)`, each drawn as {(i, j): (num, den)}."""
+    for member in transferred_terms(column, coeffs):
+        yield {key: (num, den) for block in member for key, num, den in block}
+
+
 def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:
-    """The members of `transferred_terms(column, coeffs)`, each drawn as an AppellPoly."""
-    for k, member in enumerate(transferred_terms(column, coeffs)):
-        poly = AppellPoly(k)
-        poly.terms = {key: reduced_fraction(num, den) for block in member
-                      for key, num, den in block}
-        yield poly
+    """The members of `family_pairs(column, coeffs)`, each drawn as an AppellPoly."""
+    return (AppellPoly.of_pairs(k, terms) for k, terms in enumerate(family_pairs(column, coeffs)))
 
 
 def build_phi(coeffs: CoeffSequence) -> AppellSequence:
@@ -290,8 +294,8 @@ def family_terms(
 ):
     """(family, coeffs, lam, column) of a named sequence, with the series column t_0..t_m.
 
-    The members are `transferred_terms` or `family_members` of (column,
-    coeffs), drawn lazily as often as a caller needs.  The header rules
+    The members are `transferred_terms`, `family_pairs` or `family_members`
+    of (column, coeffs), drawn lazily as often as a caller needs.  The header rules
     are `check_header`'s, the same a loaded file passes.  Every check runs
     here, before the first member is drawn.
     """

@@ -41,8 +41,7 @@ def load_sequence(args):
     """The sequence of the flags or of --input, and the series column it was drawn from, if any."""
     if args.input is None:
         family, coeffs, lam, column = appell.family_terms(**build_flags(args))
-        seq = appell.AppellSequence(family, appell.family_members(column, coeffs), coeffs, lam)
-        return seq, column
+        return appell.AppellSequence(family, appell.family_pairs(column, coeffs), coeffs, lam), column
     if args.n is not None or args.m is not None:
         raise ValueError("--input replaces --n/--m; give one or the other")
     for key, flag in BUILD_FLAGS.items():

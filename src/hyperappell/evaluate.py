@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import appell  # run on first use
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, reduced_fraction
 
 
 def binary_values(seq: appell.AppellSequence, point) -> list[tuple[Fraction, Fraction]]:
@@ -23,20 +23,20 @@ def binary_values(seq: appell.AppellSequence, point) -> list[tuple[Fraction, Fra
     return [binary_value(p, point) for p in seq.members()]
 
 
-def binary_value(poly: appell.AppellPoly, point) -> tuple[Fraction, Fraction]:
+def binary_value(terms: dict, point) -> tuple[Fraction, Fraction]:
     """(A, B) with sum_{(i,j)} a_{ij} x0^i v^j = A + B v at point = (x0, vec).
 
-    The terms of each vector exponent j sum to sum_i a x0^i, with the
-    powers of x0 built one step at a time; that sum, times (-|v|^2)^(j//2),
-    goes to A for even j and to B for odd j.
+    `terms` is a member {(i, j): (num, den)}.  The terms of each vector exponent j
+    sum to sum_i a x0^i, with the powers of x0 built one step at a time; that sum,
+    times (-|v|^2)^(j//2), goes to A for even j and to B for odd j.
     """
     x0, vec = point
     powers = [ONE]  # x0^0, x0^1, ...
     sums: dict[int, Fraction] = {}
-    for (i, j), a in poly.terms.items():
+    for (i, j), (num, den) in terms.items():
         while len(powers) <= i:
             powers.append(powers[-1] * x0)
-        sums[j] = sums.get(j, ZERO) + a * powers[i]
+        sums[j] = sums.get(j, ZERO) + reduced_fraction(num, den) * powers[i]
     square = -sum((v * v for v in vec), ZERO)
     parts = [ZERO, ZERO]  # A, B
     for j, total in sums.items():
@@ -79,7 +79,7 @@ def eval_at(seq: appell.AppellSequence, x) -> list:
 
 def eval_poly(poly: appell.AppellPoly, x):
     """The value at a Paravector x as a Multivector: `binary_value`, converted."""
-    return _multivector(x, binary_value(poly, x))
+    return _multivector(x, binary_value(poly.pairs(), x))
 
 
 def exp_truncated(x, order: int):
@@ -99,7 +99,7 @@ def _multivector(x, value: tuple[Fraction, Fraction]):
 
 def restrict_real(seq: appell.AppellSequence) -> list[list[Fraction]]:
     """Set the vector part to zero; ascending x0 coefficients per degree."""
-    return [restrict_poly(p) for p in seq.members()]
+    return [restrict_poly(appell.AppellPoly.of_pairs(k, p)) for k, p in enumerate(seq.members())]
 
 
 def restrict_poly(poly: appell.AppellPoly) -> list[Fraction]:

@@ -7,23 +7,24 @@ The generalized Cauchy-Riemann operator and its conjugate are
 with Dv = sum_k e_k d/dx_k the vector derivative.  A polynomial is
 monogenic when D annihilates it, and a monogenic sequence is Appell when
 D* acts as degree lowering: D* p_k = k p_{k-1}.  certify decides both
-exactly on the binary form sum a_ij x0^i v^j, in one pass over the members
-that holds only p_k and p_(k-1), first by structure.  With
-Dv v^j = Ht[j, j-1] v^(j-1), the x0^(i-1) v^(j-1) coefficient of 2 D p is
-i a_(i,j-1) + Ht[j, j-1] a_(i-1,j), so a part of degree l is monogenic
-exactly when each term follows from its neighbour,
-(l-j+1) a_(l-j+1,j-1) = E_j a_(l-j,j) with E_j = -Ht[j, j-1] != 0: it is
-alpha_l phi_l, alpha_l its x0^l coefficient.  As D* phi_l = l phi_(l-1),
-the ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That costs one
-integer comparison per term.  Only a degree where p_k or p_(k-1) fails
-this, or the alphas disagree, forms the two binary residuals, at a few
-rational operations per term:
-distinct x0^i v^j share no expanded monomial, so a zero binary residual
-is an exact zero, and a nonzero one gives the witness.  The reference
-route, `reference.check_monogenic` and `reference.check_appell`, expands
-members into multivariate polynomials instead.  Both report a failing
-degree with the same witness monomial, so negative controls produce
-usable evidence instead of a bare boolean.
+exactly on the binary form sum a_ij x0^i v^j, each member read as integer
+pairs {(i, j): (num, den)}, in one pass that holds only p_k and p_(k-1),
+first by structure.  With Dv v^j = Ht[j, j-1] v^(j-1), the x0^(i-1)
+v^(j-1) coefficient of 2 D p is i a_(i,j-1) + Ht[j, j-1] a_(i-1,j), so a
+part of degree l is monogenic exactly when each term follows from its
+neighbour, (l-j+1) a_(l-j+1,j-1) = E_j a_(l-j,j) with E_j = -Ht[j, j-1]
+!= 0: it is alpha_l phi_l, alpha_l its x0^l coefficient.  As D* phi_l =
+l phi_(l-1), the ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That
+costs one integer division and two small products per term, and no
+Fraction.  Only a degree where p_k or p_(k-1) fails this, or the alphas
+disagree, builds the two as AppellPolys and forms the two binary
+residuals, at a few rational operations per term: distinct x0^i v^j share
+no expanded monomial, so a zero binary residual is an exact zero, and a
+nonzero one gives the witness.  The reference route,
+`reference.check_monogenic` and `reference.check_appell`, expands members
+into multivariate polynomials instead.  Both report a failing degree with
+the same witness monomial, so negative controls produce usable evidence
+instead of a bare boolean.
 
 Coefficient-level identities live alongside: the vector derivative acts on
 the column of vector powers through a one-subdiagonal matrix, and the
@@ -41,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import appell  # runs on first use
-from .rationals import ZERO
+from .rationals import ZERO, ratio_text
 from .trimatrix import check_dimension, derivation_entry, transfer_column
 
 HALF = Fraction(1, 2)
@@ -141,41 +142,39 @@ def _binary_witness(residual: appell.AppellPoly, n: int) -> dict:
     return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": {"n": n, "terms": [term]}}
 
 
-def _multiples(poly: appell.AppellPoly, k: int, entries: list[int]):
-    """alpha_0..alpha_k with poly = sum_l alpha_l phi_l, or None if poly is no such sum.
+def _multiples(terms: dict, k: int, entries: list[int]):
+    """alpha_0..alpha_k as (num, den) pairs, with terms = sum_l alpha_l phi_l, or None if no such sum.
 
-    alpha_l is poly's x0^l coefficient.  A part with alpha_l != 0 must hold all
-    l+1 keys, each term following from the one before as in the module
-    docstring, with E_j = entries[j]; the count refuses any other key, a part
-    above k too.  Neighbours are compared cross-multiplied, in integers.
+    `terms` is a member {(i, j): (num, den)}; alpha_l is its x0^l coefficient.  A part with
+    alpha_l != 0 must hold all l+1 keys, each term b/d following from the one before, p/q,
+    as in the module docstring: b/d = p r / (q e), r = l-j+1, e = E_j = entries[j] > 0.
+    In lowest terms that is: d divides q e, by g, and b g = p r.  The count refuses any
+    other key, a part above k too.
     """
-    terms = poly.terms
-    alphas = [terms.get((l, 0), ZERO) for l in range(k + 1)]
+    alphas = [terms.get((l, 0), (0, 1)) for l in range(k + 1)]
     count = 0
-    for l, alpha in enumerate(alphas):
-        if alpha:
+    for l, (p, q) in enumerate(alphas):
+        if p:
             count += l + 1
-            p, q = alpha.numerator, alpha.denominator
             for j in range(1, l + 1):
                 a = terms.get((l - j, j))
                 if a is None:
                     return None
-                b, d = a.numerator, a.denominator
-                if (l - j + 1) * p * d != entries[j] * b * q:
+                b, d = a
+                g, rest = divmod(q * entries[j], d)
+                if rest or b * g != (l - j + 1) * p:
                     return None
                 p, q = b, d
     return alphas if count == len(terms) else None
 
 
-def _passes_by_structure(k: int, a: list[Fraction] | None, prev: list[Fraction] | None) -> bool:
+def _passes_by_structure(k: int, a: list[tuple] | None, prev: list[tuple] | None) -> bool:
     """p_k and p_(k-1) are sums of multiples and l alpha_(k,l) = k alpha_(k-1,l-1), l = 1..k.
 
-    `a` and `prev`, their alphas, are compared cross-multiplied, in integers, as in `_multiples`;
-    at k = 0, `prev` is [], the alphas of p_(-1) = 0.
+    `a` and `prev`, their alphas, are compared cross-multiplied, in integers; at k = 0, `prev` is [], the alphas of p_(-1) = 0.
     """
     return a is not None and prev is not None and all(
-        l * x.numerator * y.denominator == k * y.numerator * x.denominator
-        for l, x, y in zip(range(1, k + 1), a[1:], prev)
+        l * p * s == k * r * q for l, (p, q), (r, s) in zip(range(1, k + 1), a[1:], prev)
     )
 
 
@@ -201,24 +200,26 @@ def certify(seq: appell.AppellSequence, column: list[Fraction] | None = None) ->
         # D from n, not seq.coeffs: monogenicity is a property of the polynomials alone
         entries = [-derivation_entry(seq.n, j) for j in range(seq.m + 1)]
         prev, prev_alphas = None, []
-        for k, poly in enumerate(seq.members()):
-            constants.append(poly.coefficient(0, 0))
-            alphas = _multiples(poly, k, entries)
+        for k, terms in enumerate(seq.members()):
+            constants.append(terms.get((0, 0), (0, 1)))
+            alphas = _multiples(terms, k, entries)
             if _passes_by_structure(k, alphas, prev_alphas):
                 results.append(DegreeCheck(k, True, True))
             else:
+                poly = appell.AppellPoly.of_pairs(k, terms)
                 monogenic = _binary_cr(poly, seq.n, 1)
                 # degree 0 holds vacuously, as in check_appell
-                ladder = _binary_cr(poly, seq.n, -1) + prev * -k if k else appell.AppellPoly(0)
+                ladder = (_binary_cr(poly, seq.n, -1) + appell.AppellPoly.of_pairs(k - 1, prev) * -k
+                          if k else appell.AppellPoly(0))
                 # the first nonzero residual gives the witness: monogenic before ladder
                 failed = next((r for r in (monogenic, ladder) if not r.is_zero()), None)
                 witness = None if failed is None else _binary_witness(failed, seq.n)
                 results.append(DegreeCheck(k, monogenic.is_zero(), ladder.is_zero(), witness))
-            prev, prev_alphas = poly, alphas
+            prev, prev_alphas = terms, alphas
         if intertwining and all(r.passed for r in results):
             c0 = seq.coeffs.values[0]
             column = transfer_column(seq.family, seq.m, seq.lam) if column is None else column
-            mismatch = next(({"k": k, "expected": str(c0 * t), "found": str(a)}
-                             for k, (t, a) in enumerate(zip(column, constants)) if c0 * t != a),
-                            None)
+            mismatch = next(({"k": k, "expected": str(c0 * t), "found": ratio_text(*a)}
+                             for k, (t, a) in enumerate(zip(column, constants))
+                             if (c0 * t).as_integer_ratio() != a), None)
     return VerifyReport(seq.n, seq.family, results, intertwining, seq.shift, mismatch)

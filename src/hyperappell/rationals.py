@@ -6,8 +6,8 @@ point tolerance.  Values are :class:`fractions.Fraction`, which already
 stores them in lowest terms with a positive denominator and serializes as
 ``"p/q"`` (or ``"p"`` when the denominator is 1), the wire format used by
 all JSON and CSV output.  A value drawn as an integer pair (num, den) in
-lowest terms, den > 0, has the same text, `ratio_text`, and becomes a
-Fraction through `reduced_fraction`.  `approximate` gives the optional
+lowest terms, den > 0, has the same text, `ratio_text`, is read from it by
+`parse_pair`, and becomes a Fraction through `reduced_fraction`.  `approximate` gives the optional
 decimal renderings next to the exact values.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -25,22 +26,28 @@ def parse_rational(text: str) -> Fraction:
 
     Decimal or exponent notation is rejected: inputs are exact by contract.
     """
-    body = text.strip()
-    if "/" in body:
-        num_part, den_part = body.split("/", 1)
-        return Fraction(int(num_part), int(den_part))
-    return Fraction(int(body))
+    return reduced_fraction(*parse_pair(text))
 
 
-def read_rational(value, name: str) -> Fraction:
-    """`parse_rational` for input from outside the program.
+def parse_pair(text: str) -> tuple[int, int]:
+    """`parse_rational` as the pair (num, den) in lowest terms, den > 0, made without a Fraction."""
+    num, slash, den = text.strip().partition("/")
+    num, den = int(num), int(den) if slash else 1
+    if not den:
+        raise ZeroDivisionError(f"{text!r} has a zero denominator")
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
+def read_rational(value, name: str, parse=parse_rational):
+    """`parse_rational`, or `parse` such as `parse_pair`, for input from outside the program.
 
     Every refusal, a zero denominator or a value that is not a string
     included, is a ValueError that names the field.
     """
     try:
         if isinstance(value, str):
-            return parse_rational(value)
+            return parse(value)
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"{name} expects an exact rational like 3 or -3/4, got {value!r}")

@@ -14,15 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .appell import (
-    AppellPoly,
-    AppellSequence,
-    CoeffSequence,
-    build_phi,
-    check_header,
-    coefficient_sequence,
-)
-from .rationals import ONE, ratio_text, read_rational
+from .appell import AppellSequence, CoeffSequence, check_header, coefficient_sequence, family_pairs
+from .rationals import ONE, parse_pair, ratio_text, read_rational
+from .trimatrix import transfer_column
 
 
 def member_text(terms) -> str:
@@ -42,7 +36,7 @@ def member_text(terms) -> str:
 def sequence_json(family: str, coeffs: CoeffSequence, lam: Fraction | None, members) -> dict:
     """The one JSON layout of a sequence.
 
-    `members` yields, for k = 0..m, member k's ((i, j), a) in `sorted_terms` order.
+    `members` yields, for k = 0..m, member k's ((i, j), (num, den)) in `sorted_terms` order.
     """
     return {
         "n": coeffs.n,
@@ -52,7 +46,7 @@ def sequence_json(family: str, coeffs: CoeffSequence, lam: Fraction | None, memb
         "m": coeffs.m,
         "coeffs": [str(c) for c in coeffs.values],
         "polys": [
-            {"k": k, "terms": [{"i": i, "j": j, "a": str(a)} for (i, j), a in terms]}
+            {"k": k, "terms": [{"i": i, "j": j, "a": ratio_text(*a)} for (i, j), a in terms]}
             for k, terms in enumerate(members)
         ],
     }
@@ -96,7 +90,8 @@ def from_json(payload: dict) -> AppellSequence:
 
     The header must pass `check_header`, c_0..c_m be those of n, s and c_0,
     and a shifted file, which `certify` checks only by intertwining, hold
-    exactly `build_phi(coeffs)`.
+    exactly `build_phi(coeffs)`.  Each member is held as {(i, j): (num, den)},
+    the form of `appell.family_pairs`.
     """
     n = _json_get(payload, "n", int)
     shift = _json_get(payload, "s", int, default=0)
@@ -105,7 +100,7 @@ def from_json(payload: dict) -> AppellSequence:
     lam = None if lam is None else read_rational(lam, "lambda")
     check_header(family, lam, shift)
     values = tuple(read_rational(c, "coefficient") for c in _json_get(payload, "coeffs", list))
-    polys = []
+    polys, keys = [], {}
     entries = _json_get(payload, "polys", list)
     for entry in sorted(entries, key=lambda e: _json_get(e, "k", int)):
         k = entry["k"]
@@ -116,11 +111,13 @@ def from_json(payload: dict) -> AppellSequence:
         terms = {}
         for term in _json_get(entry, "terms", list):
             key = (_json_get(term, "i", int), _json_get(term, "j", int))
-            if key[0] + key[1] > k:
-                raise ValueError(f"term x0^{key[0]} v^{key[1]} exceeds degree {k}")
-            a = read_rational(term.get("a"), "term coefficient")
-            terms[key] = terms[key] + a if key in terms else a
-        polys.append(AppellPoly(k, terms))
+            if min(key) < 0 or sum(key) > k:
+                raise ValueError(f"term x0^{key[0]} v^{key[1]} is not of degree 0..{k}")
+            a = read_rational(term.get("a"), "term coefficient", parse_pair)
+            a = (Fraction(*terms[key]) + Fraction(*a)).as_integer_ratio() if key in terms else a
+            terms[keys.setdefault(key, key)] = a  # one key tuple for every member
+        # repeated keys summed and zeros dropped, as in AppellPoly
+        polys.append({key: a for key, a in terms.items() if a[0]})
     if not polys:
         raise ValueError("sequence must contain at least degree 0")
     m = len(polys) - 1
@@ -129,7 +126,7 @@ def from_json(payload: dict) -> AppellSequence:
     coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
     if coeffs.values != values:
         raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
-    if shift and polys != build_phi(coeffs).polys:
+    if shift and polys != list(family_pairs(transfer_column("canonical", m), coeffs)):
         raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
     return AppellSequence(family=family, polys=polys, coeffs=coeffs, lam=lam)
 

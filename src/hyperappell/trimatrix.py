@@ -47,7 +47,8 @@ FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
 
 def matrix_json(m: int, rows) -> dict:
-    """The one JSON layout of a matrix of order m (`TriMatrix.to_json`); `matrices` renders it."""
+    """The layout of a matrix of order m as a dict, `TriMatrix.to_json`.  `matrices` writes
+    its text row by row from `cli_matrices._json_pieces`; the tests compare the two."""
     return {"m": m, "rows": [[str(v) for v in row] for row in rows]}
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from checkout import spawn_env
 from oracles import bernoulli_polys, euler_polys_inverse, hermite_polys_series
 from hyperappell import (
     CliffordPoly,
@@ -227,6 +228,7 @@ def test_criterion_10_cli_determinism(report, tmp_path):
                     [sys.executable, "-m", "hyperappell", *argv, "--output", str(out_path)],
                     capture_output=True,
                     text=True,
+                    env=spawn_env(),
                 )
                 assert proc.returncode == 0, (name, proc.stderr)
                 assert out_path.read_bytes() == frozen, (name, run)

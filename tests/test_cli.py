@@ -13,7 +13,6 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -41,12 +40,14 @@ from hyperappell import (
     transfer_matrix,
 )
 from hyperappell.clifford import mask_to_indices
+from hyperappell.seqfile import from_json
 from hyperappell.trimatrix import transfer_column
 
 from test_trimatrix import COLUMN_CASES, STREAM_ORDERS
 
+from checkout import SRC, spawn_env
+
 PKG = "hyperappell"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, timeout=None):
@@ -55,6 +56,7 @@ def run_cli(*args, timeout=None):
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=spawn_env(),
     )
 
 
@@ -501,6 +503,8 @@ def _set(*path_and_value):
         (["verify"], _set_family),
         (["eval", "--point", "1"], _set_n_zero),
         (["verify"], _add_term_above_degree),
+        (["verify"], _set("polys", 2, "terms", 0, "i", -1)),
+        (["eval", "--point", "1,2,0"], _set("polys", 2, "terms", 0, "j", -1)),
         (["verify"], _set_negative_shift),
         (["verify"], _drop_coefficient),
         (["verify"], _set("coeffs", 3, "1/0")),
@@ -537,7 +541,8 @@ def _set(*path_and_value):
         ],
     ],
     ids=[
-        "unknown-family", "n-zero", "term-above-degree", "negative-shift", "short-coeffs",
+        "unknown-family", "n-zero", "term-above-degree", "term-negative-exponent",
+        "eval-term-negative-exponent", "negative-shift", "short-coeffs",
         "coeff-zero-denominator", "eval-coeff-zero-denominator",
         "term-zero-denominator", "eval-term-zero-denominator",
         "lambda-zero-denominator", "eval-lambda-zero-denominator",
@@ -585,6 +590,43 @@ def test_input_degree_list_exits_2_naming_its_fault(tmp_path, degrees, message):
     proc = run_cli("verify", "--input", str(path))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {path} is not a valid sequence file: {message}\n"
+
+
+def test_input_terms_are_summed_reduced_and_zeros_dropped(tmp_path):
+    # a hand-edited file: an explicit zero, an unreduced coefficient and a key given twice,
+    # once summing to zero, hold the same member as the clean file, read as reduced pairs
+    clean = gen_json("--n", "2", "--m", "4", "--family", "bernoulli")
+    edited = copy.deepcopy(clean)
+    for entry in edited["polys"][1:]:
+        terms, k = entry["terms"], entry["k"]
+        free = [(i, d - i) for d in range(k + 1) for i in range(d + 1)
+                if not any((t["i"], t["j"]) == (i, d - i) for t in terms)]
+        num, _, den = terms[0]["a"].partition("/")
+        terms[0]["a"] = f"{2 * int(num)}/{2 * int(den or 1)}"
+        split = Fraction(terms[-1]["a"])
+        terms[-1]["a"] = str(split - 1)
+        terms += [
+            {"i": terms[-1]["i"], "j": terms[-1]["j"], "a": "1"},
+            {"i": terms[1]["i"], "j": terms[1]["j"], "a": "0"},
+        ]
+        # bernoulli's t_3 = 0: members 3 and 4 lack a part, so a key of theirs is free
+        for i, j in free[:1]:
+            terms += [{"i": i, "j": j, "a": a} for a in ("-0/7", "5/3", "-10/6")]
+    paths = {}
+    for name, payload in (("clean", clean), ("edited", edited)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    # two terms more in each of members 1-4, three more in members 3 and 4
+    assert sum(len(entry["terms"]) for entry in edited["polys"]) == 14 + sum(
+        len(entry["terms"]) for entry in clean["polys"])
+    assert from_json(edited).polys == from_json(clean).polys
+    point = ["--point", "1/2,-3,2/5"]
+    for command in (["verify"], ["verify", "--format", "pretty"], ["eval", *point],
+                    ["eval", *point, "--format", "csv"], ["eval", *point, "--format", "pretty"]):
+        outs = [run_main([command[0], "--input", str(paths[name]), *command[1:]])
+                for name in ("clean", "edited")]
+        assert outs[0][0] == 0 and outs[0][1], command
+        assert outs[1] == outs[0], command
 
 
 # -- eval --------------------------------------------------------------------
@@ -1299,7 +1341,7 @@ def test_verify_builds_no_matrix_and_no_closed_form(tmp_path, family):
         input=json.dumps(commands),
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=spawn_env(),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -1403,7 +1445,7 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path, status, runs, arg
          *(arg.format(**paths) for arg in argv)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=spawn_env(),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -1557,7 +1599,8 @@ def test_reader_closing_stdout_early_exits_0_quietly():
     )
     # after main returns, whatever stdout still holds or gets must go nowhere, not fail
     for argv in ([sys.executable, "-m", PKG, *gen], [sys.executable, "-c", more_output, *gen]):
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=spawn_env())
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -1713,7 +1756,7 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=spawn_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"

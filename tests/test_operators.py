@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from hyperappell.appell import (
     vector_power_expansion,
 )
 from hyperappell.clifford import Multivector, Paravector
-from hyperappell.evaluate import eval_at, restrict_real
+from hyperappell.cli_sequence import load_sequence
+from hyperappell.evaluate import binary_values, eval_at, restrict_real
 from hyperappell.operators import certify, check_intertwining
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.reference import (
@@ -268,6 +270,76 @@ def test_certify_of_members_drawn_once_is_certify_of_the_list():
     assert failures > 3500, failures
 
 
+def corrupted_pairs(pairs, polys, rng, k, insert):
+    """Member k of both forms with the same term perturbed, or the same (i, j) added."""
+    terms, poly_terms = dict(pairs[k]), dict(polys[k].terms)
+    free = [(i, d - i) for d in range(k + 2) for i in range(d + 1) if (i, d - i) not in terms]
+    key = rng.choice(free) if insert else rng.choice(sorted(terms))
+    value = Fraction(*terms.get(key, (0, 1))) + random_rational(rng)
+    if value:
+        terms[key] = value.as_integer_ratio()
+    else:
+        del terms[key]
+    poly_terms[key] = value
+    return ([*pairs[:k], terms, *pairs[k + 1:]],
+            [*polys[:k], AppellPoly(k, poly_terms), *polys[k + 1:]])
+
+
+def fraction_value(poly, point):
+    """(A, B) of sum a x0^i v^j = A + B v, term by term on the Fraction terms."""
+    x0, vec = point
+    square = -sum(v * v for v in vec)
+    parts = [Fraction(0), Fraction(0)]
+    for (i, j), a in poly.terms.items():
+        parts[j % 2] += a * x0**i * square ** (j // 2)
+    return tuple(parts)
+
+
+def test_pair_members_from_flags_certify_and_evaluate_as_the_fraction_members():
+    # verify and eval from flags read the members of family_pairs, {(i, j): (num, den)}; the
+    # report, witnesses and family check included, and the values must be those of
+    # build_family's AppellPolys, intact and with one term corrupted or added at each degree
+    rng = random.Random(67)
+    failures = 0
+    for family in FAMILIES:
+        for n in range(1, 5):
+            for m in (0, 1, 2, 5, 9):
+                lam = family_lam(family)
+                args = SimpleNamespace(n=n, m=m, family=family, lam=lam and str(lam), c0=None,
+                                       shift=None, input=None)
+                drawn, column = load_sequence(args)
+                pairs = list(drawn.polys)
+                polys = build_family(n, m, family, lam=drawn.lam).polys
+                assert pairs == [p.pairs() for p in polys]
+                point = (Fraction(-2, 3), tuple(Fraction(3 - 2 * x, x + 1) for x in range(n)))
+                cases = [(pairs, polys)] + [corrupted_pairs(pairs, polys, rng, k, insert)
+                                            for k in range(m + 1) for insert in (False, True)]
+                for pair_members, poly_members in cases:
+                    seq = AppellSequence(family, iter(pair_members), drawn.coeffs, drawn.lam)
+                    report = certify(seq, column).to_json()
+                    fraction_seq = AppellSequence(family, poly_members, drawn.coeffs, drawn.lam)
+                    assert report == certify(fraction_seq).to_json(), (family, n, m)
+                    seq = AppellSequence(family, iter(pair_members), drawn.coeffs, drawn.lam)
+                    assert binary_values(seq, point) == [fraction_value(p, point)
+                                                        for p in poly_members], (family, n, m)
+                    failures += not report["ok"]
+    # nearly every corruption fails: by structure, residuals and witnesses, or the family check
+    assert failures > 300, failures
+
+
+def test_structure_refuses_a_term_whose_denominator_only_rounds_to_the_next():
+    # phi_1 = x0 + v/3 at n = 3; in x0 + v/2, 1 * (q e // d) = 3 // 2 = 1 = p r, so only the
+    # remainder of q e by d tells the term 1/2 from 1/3
+    entries = [-derivation_entry(3, j) for j in range(2)]
+    assert operators._multiples({(1, 0): (1, 1), (0, 1): (1, 3)}, 1, entries) is not None
+    assert operators._multiples({(1, 0): (1, 1), (0, 1): (1, 2)}, 1, entries) is None
+    seq = build_family(3, 1)
+    bad = AppellPoly(1, {(1, 0): Fraction(1), (0, 1): Fraction(1, 2)})
+    case = AppellSequence("canonical", [seq.polys[0], bad], seq.coeffs)
+    assert certify(case).to_json() == reference_report(case)
+    assert [r.passed for r in certify(case).results] == [True, False]
+
+
 def test_certify_refuses_a_member_past_the_coefficients():
     # m comes from the coefficients; a surplus member is a ValueError, not an IndexError
     coeffs = coefficient_sequence(2, 3)
@@ -296,7 +368,7 @@ def test_certify_and_eval_refuse_members_that_end_before_m():
 def structure_decisions(seq):
     """Per degree, (monogenic, ladder) by structure; ladder None where it is left to residuals."""
     entries = [-int(derivation_entry(seq.n, j)) for j in range(seq.m + 1)]
-    alphas = [operators._multiples(p, k, entries) for k, p in enumerate(seq.polys)]
+    alphas = [operators._multiples(p.pairs(), k, entries) for k, p in enumerate(seq.polys)]
     rows = []
     for k in range(seq.m + 1):
         ladder = None

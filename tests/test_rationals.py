@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperappell.rationals import approximate, parse_rational
+from hyperappell.rationals import approximate, parse_pair, parse_rational, read_rational
 
 from oracles import double_factorial
 
@@ -25,8 +25,32 @@ def test_parse_rejects_floats_and_junk():
 
 
 def test_parse_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("1/0")
+    for text in ("1/0", "0/0", "-3/-0"):
+        with pytest.raises(ZeroDivisionError):
+            parse_rational(text)
+        with pytest.raises(ZeroDivisionError):
+            parse_pair(text)
+        with pytest.raises(ValueError, match="^a expects an exact rational"):
+            read_rational(text, "a", parse_pair)
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_parse_pair_is_the_fraction_in_lowest_terms(p, q):
+    # the unreduced text of a hand-edited file, negative denominators included
+    for text in (f"{p}/{q}", f" {p} / {q} ", str(p)):
+        value = Fraction(p, q) if "/" in text else Fraction(p)
+        assert parse_pair(text) == value.as_integer_ratio()
+        assert read_rational(text, "a", parse_pair) == value.as_integer_ratio()
+        assert parse_rational(text) == value
+        assert (parse_rational(text).numerator, parse_rational(text).denominator) == parse_pair(text)
+
+
+def test_parse_pair_rejects_what_parse_rational_rejects():
+    for bad in ("1.5", "0.25", "1e3", "", "1/2/3", "a/b", "--1", "nan", "1/", "/2"):
+        with pytest.raises(ValueError):
+            parse_pair(bad)
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 def test_format_reduced():
