@@ -21,9 +21,10 @@ creation matrix, D_c the diagonal of the c_j and xi(v) the column of vector
 powers; classical families (Bernoulli, Euler, Frobenius-Euler, Hermite)
 arise by applying their transfer matrices f(H) to the basic sequence.
 `transferred_terms` computes T phi block by block, in integer pairs, from the
-first column of T = f(H); `family_pairs` yields its members one at a time as
-{(i, j): (num, den)}, the form `certify` and `eval` read (`AppellPoly.pairs`),
-holding one row of T and the members of phi it reads, never all of T phi.
+first column of T = f(H); `family_members` yields its members one at a time,
+each an `AppellPoly` holding {(i, j): (num, den)}, the form `certify` and
+`eval` read (`AppellPoly.pairs`), with one row of T and the members of phi it
+reads, never all of T phi.
 """
 
 from __future__ import annotations
@@ -98,62 +99,56 @@ def coefficient_sequence(
 class AppellPoly:
     """One sequence member in binary form.
 
-    Terms map (i, j) to the rational coefficient of x0^i v^j, where v is
-    the vector part of the paravector argument.  Members of the basic
-    sequence are homogeneous (i + j = degree for every term); transfer
-    matrices mix degrees, so lower-order terms appear for the classical
-    families.
+    Held as `pairs`, {(i, j): (num, den)} with num/den != 0 in lowest terms, den > 0, the
+    coefficient of x0^i v^j, v the vector part of the argument; `terms` is a Fraction view.
+    Members of the basic sequence are homogeneous (i + j = degree for every term); transfer
+    matrices mix degrees, so lower-order terms appear for the classical families.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "_pairs")
 
     def __init__(self, degree: int, terms: Mapping[tuple[int, int], Fraction] | None = None):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        self.degree = degree
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), coeff in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in term ({i}, {j})")
-                value = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if value:
-                    clean[(i, j)] = value
-        self.terms = clean
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        for (i, j), coeff in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term ({i}, {j})")
+            value = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if value:
+                pairs[(i, j)] = (value.numerator, value.denominator)
+        self.degree, self._pairs = degree, pairs
 
     @classmethod
-    def of_pairs(cls, degree: int, terms: Mapping[tuple[int, int], tuple[int, int]]) -> "AppellPoly":
-        """The member {(i, j): (num, den)} as an AppellPoly; each pair in lowest terms, den > 0."""
-        return cls(degree, {key: reduced_fraction(*pair) for key, pair in terms.items()})
+    def of_pairs(cls, degree: int, pairs: dict[tuple[int, int], tuple[int, int]]) -> "AppellPoly":
+        """The member of these pairs, held without a copy; each in lowest terms, den > 0, not 0."""
+        poly = object.__new__(cls)
+        poly.degree, poly._pairs = degree, pairs
+        return poly
 
     def pairs(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """The terms as {(i, j): (num, den)} in lowest terms, den > 0."""
-        return {key: (a.numerator, a.denominator) for key, a in self.terms.items()}
+        """The member as held, {(i, j): (num, den)}; not a copy."""
+        return self._pairs
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """The member as {(i, j): Fraction}, a new dict on each access."""
+        return {key: reduced_fraction(*pair) for key, pair in self._pairs.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._pairs
 
     def __add__(self, other):
         if not isinstance(other, AppellPoly):
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms
         for key, coeff in other.terms.items():
-            total = out.get(key, ZERO) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        result = AppellPoly(max(self.degree, other.degree))
-        result.terms = out
-        return result
+            out[key] = out.get(key, ZERO) + coeff
+        return AppellPoly(max(self.degree, other.degree), out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scale = Fraction(other)
-            result = AppellPoly(self.degree)
-            if scale:
-                result.terms = {k: c * scale for k, c in self.terms.items()}
-            return result
+            return AppellPoly(self.degree, {key: c * other for key, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -161,10 +156,10 @@ class AppellPoly:
     def __eq__(self, other):
         if not isinstance(other, AppellPoly):
             return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self._pairs == other._pairs
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        return hash((self.degree, frozenset(self._pairs.items())))
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Terms ordered by total degree, then vector exponent."""
@@ -182,12 +177,12 @@ class AppellPoly:
 class AppellSequence:
     """Degrees 0..m of an Appell sequence over Cl(0,n), in binary form; n, s and m live in coeffs.
 
-    `polys` is any iterable of the members in degree order, AppellPolys or pair dicts,
-    such as a list or `family_pairs`; `certify`, `evaluate.binary_values` and `to_json`
-    each draw it once, through `members`.
+    `polys` is any iterable of the AppellPolys in degree order, such as a list or
+    `family_members`; `certify`, `evaluate.binary_values` and `to_json` each draw it
+    once, through `members`.
     """
 
-    def __init__(self, family: str, polys: Iterable[AppellPoly | dict], coeffs: CoeffSequence,
+    def __init__(self, family: str, polys: Iterable[AppellPoly], coeffs: CoeffSequence,
                  lam: Fraction | None = None):
         self.family = family
         self.polys = polys
@@ -219,13 +214,13 @@ class AppellSequence:
     def m(self) -> int:
         return self.coeffs.m
 
-    def members(self) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
-        """p_0..p_m as pair dicts, refusing (ValueError) a stream that ends early or runs on."""
+    def members(self) -> Iterator[AppellPoly]:
+        """p_0..p_m, refusing (ValueError) a stream that ends early or runs on."""
         k = -1
         for k, poly in enumerate(self.polys):
             if k > self.m:
                 raise ValueError(f"member {k} is past the degree m = {self.m} of the coefficients")
-            yield poly.pairs() if isinstance(poly, AppellPoly) else poly
+            yield poly
         if k < self.m:
             raise ValueError(f"member {k + 1} is missing: the members end before m = {self.m}")
 
@@ -233,8 +228,8 @@ class AppellSequence:
         """The `gen` JSON of this sequence; `seqfile.from_json` loads it back."""
         from .seqfile import sequence_json
 
-        members = (sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0][1]))
-                   for terms in self.members())
+        members = (sorted(poly.pairs().items(), key=lambda kv: (sum(kv[0]), kv[0][1]))
+                   for poly in self.members())
         return sequence_json(self.family, self.coeffs, self.lam, members)
 
 
@@ -267,15 +262,10 @@ def transferred_terms(column: list[Fraction], coeffs: CoeffSequence) -> Iterator
                for tn, td, terms in row)
 
 
-def family_pairs(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[dict]:
-    """The members of `transferred_terms(column, coeffs)`, each drawn as {(i, j): (num, den)}."""
-    for member in transferred_terms(column, coeffs):
-        yield {key: (num, den) for block in member for key, num, den in block}
-
-
 def family_members(column: list[Fraction], coeffs: CoeffSequence) -> Iterator[AppellPoly]:
-    """The members of `family_pairs(column, coeffs)`, each drawn as an AppellPoly."""
-    return (AppellPoly.of_pairs(k, terms) for k, terms in enumerate(family_pairs(column, coeffs)))
+    """The members of `transferred_terms(column, coeffs)`, each drawn as an AppellPoly."""
+    for k, member in enumerate(transferred_terms(column, coeffs)):
+        yield AppellPoly.of_pairs(k, {key: (n, d) for block in member for key, n, d in block})
 
 
 def build_phi(coeffs: CoeffSequence) -> AppellSequence:
@@ -294,8 +284,8 @@ def family_terms(
 ):
     """(family, coeffs, lam, column) of a named sequence, with the series column t_0..t_m.
 
-    The members are `transferred_terms`, `family_pairs` or `family_members`
-    of (column, coeffs), drawn lazily as often as a caller needs.  The header rules
+    The members are `transferred_terms` or `family_members` of (column, coeffs),
+    drawn lazily as often as a caller needs.  The header rules
     are `check_header`'s, the same a loaded file passes.  Every check runs
     here, before the first member is drawn.
     """

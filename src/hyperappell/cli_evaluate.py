@@ -51,7 +51,7 @@ def _rows(terms) -> list[list]:
 def cmd_eval(args) -> int:
     from .cli_sequence import load_sequence  # here, as `exp` reads no sequence
 
-    seq, _ = load_sequence(args)
+    seq = load_sequence(args)
     x0, vec = _parse_point(args.point, seq.n)
     values = [_terms(value, vec) for value in binary_values(seq, (x0, vec))]
     check_values(values)

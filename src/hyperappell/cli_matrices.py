@@ -60,9 +60,10 @@ def _matrix_rows(args):
 def _json_pieces(m: int, rows, approx: list[list[float]] | None):
     """The text of ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``, one piece per row.
 
-    The payload is `matrix_json(m, rows)`, plus "rows_approx" when `approx`
-    is given.  The header is the first piece and the tail the last.  No
-    array is empty: m >= 0, and row i holds i + 1 entries.
+    The payload is `reference.TriMatrix.to_json` of the rows, plus
+    "rows_approx" when `approx` is given.  The header is the first piece and
+    the tail the last.  No array is empty: m >= 0, and row i holds i + 1
+    entries.
     """
     yield f'{{\n  "m": {m},\n  "rows": ['
     sep = ""

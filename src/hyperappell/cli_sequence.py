@@ -38,10 +38,10 @@ def build_flags(args) -> dict:
 
 
 def load_sequence(args):
-    """The sequence of the flags or of --input, and the series column it was drawn from, if any."""
+    """The sequence of the flags, drawn member by member, or of --input."""
     if args.input is None:
         family, coeffs, lam, column = appell.family_terms(**build_flags(args))
-        return appell.AppellSequence(family, appell.family_pairs(column, coeffs), coeffs, lam), column
+        return appell.AppellSequence(family, appell.family_members(column, coeffs), coeffs, lam)
     if args.n is not None or args.m is not None:
         raise ValueError("--input replaces --n/--m; give one or the other")
     for key, flag in BUILD_FLAGS.items():
@@ -83,4 +83,4 @@ def load_sequence(args):
     if seq.n >= cli.SIZE_BUDGET:  # a failure witness prints n + 1 exponents
         raise ValueError(f"{args.input} has n = {seq.n}, more than the {cli.SIZE_BUDGET - 1}"
                          " allowed for --input")
-    return seq, None
+    return seq

@@ -33,8 +33,8 @@ def _pretty_report(report: operators.VerifyReport, m: int) -> str:
 
 
 def cmd_verify(args) -> int:
-    seq, column = load_sequence(args)
-    report = operators.certify(seq, column)
+    seq = load_sequence(args)
+    report = operators.certify(seq)
     out = report.to_json() if args.format == "json" else _pretty_report(report, seq.m)
     emit(out, args.output)
     return 0 if report.ok else 1

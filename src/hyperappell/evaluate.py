@@ -20,7 +20,7 @@ def binary_values(seq: appell.AppellSequence, point) -> list[tuple[Fraction, Fra
     """(A, B) of p_0..p_m at point = (x0, vec), each member drawn once from `seq.members()`."""
     if len(point[1]) != seq.n:
         raise ValueError(f"point has dimension {len(point[1])}, sequence has {seq.n}")
-    return [binary_value(p, point) for p in seq.members()]
+    return [binary_value(p.pairs(), point) for p in seq.members()]
 
 
 def binary_value(terms: dict, point) -> tuple[Fraction, Fraction]:
@@ -99,14 +99,10 @@ def _multivector(x, value: tuple[Fraction, Fraction]):
 
 def restrict_real(seq: appell.AppellSequence) -> list[list[Fraction]]:
     """Set the vector part to zero; ascending x0 coefficients per degree."""
-    return [restrict_poly(appell.AppellPoly.of_pairs(k, p)) for k, p in enumerate(seq.members())]
+    return [restrict_poly(p) for p in seq.members()]
 
 
 def restrict_poly(poly: appell.AppellPoly) -> list[Fraction]:
     """Coefficients in x0 (ascending) after setting the vector part to zero."""
-    degree = max((i for (i, j) in poly.terms if j == 0), default=0)
-    out = [ZERO] * (degree + 1)
-    for (i, j), a in poly.terms.items():
-        if j == 0:
-            out[i] = a
-    return out
+    real = {i: a for (i, j), a in poly.terms.items() if j == 0}
+    return [real.get(i, ZERO) for i in range(max(real, default=0) + 1)]

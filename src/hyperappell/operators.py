@@ -17,8 +17,8 @@ neighbour, (l-j+1) a_(l-j+1,j-1) = E_j a_(l-j,j) with E_j = -Ht[j, j-1]
 l phi_(l-1), the ladder is then l alpha_(k,l) = k alpha_(k-1,l-1).  That
 costs one integer division and two small products per term, and no
 Fraction.  Only a degree where p_k or p_(k-1) fails this, or the alphas
-disagree, builds the two as AppellPolys and forms the two binary
-residuals, at a few rational operations per term: distinct x0^i v^j share
+disagree, forms the two binary residuals from their Fraction terms,
+at a few rational operations per term: distinct x0^i v^j share
 no expanded monomial, so a zero binary residual is an exact zero, and a
 nonzero one gives the witness.  The reference route,
 `reference.check_monogenic` and `reference.check_appell`, expands members
@@ -136,8 +136,8 @@ def _binary_witness(residual: appell.AppellPoly, n: int) -> dict:
     first is x0^i xn^j, with coefficient (-1)^(j//2), times e_n for odd j: one
     blade, written in the {"n", "terms"} layout of `Multivector.to_json`.
     """
-    i, j = min(residual.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))
-    coeff = residual.terms[(i, j)] * (-1) ** (j // 2)
+    (i, j), a = min(residual.terms.items(), key=lambda term: (sum(term[0]), term[0][0]))
+    coeff = a * (-1) ** (j // 2)
     term = {"blade": [n] if j % 2 else [], "coeff": str(coeff)}
     return {"exponents": [i] + [0] * (n - 1) + [j], "coeff": {"n": n, "terms": [term]}}
 
@@ -178,7 +178,7 @@ def _passes_by_structure(k: int, a: list[tuple] | None, prev: list[tuple] | None
     )
 
 
-def certify(seq: appell.AppellSequence, column: list[Fraction] | None = None) -> VerifyReport:
+def certify(seq: appell.AppellSequence) -> VerifyReport:
     """Full certificate: monogenicity, ladder, the coefficient identity and the family.
 
     A degree passes by structure, each term of a part following from its
@@ -186,8 +186,8 @@ def certify(seq: appell.AppellSequence, column: list[Fraction] | None = None) ->
     decided, with its witness, on the two binary residuals; see the module
     docstring.  Once all of that passes, the sequence is T phi for the T of
     one column t, and as phi_0 = c_0 is the only constant term, p_k(0) =
-    c_0 t_k names T: it must be `column`, the family's `transfer_column`
-    unless given, or the report names the first k where it is not.
+    c_0 t_k names T: it must be the `transfer_column` of the family, m and
+    lambda of `seq`, or the report names the first k where it is not.
 
     Sequences with a positive shift are coefficient skeletons of products
     with an extra monogenic factor that is not represented here; only the
@@ -200,25 +200,24 @@ def certify(seq: appell.AppellSequence, column: list[Fraction] | None = None) ->
         # D from n, not seq.coeffs: monogenicity is a property of the polynomials alone
         entries = [-derivation_entry(seq.n, j) for j in range(seq.m + 1)]
         prev, prev_alphas = None, []
-        for k, terms in enumerate(seq.members()):
+        for k, poly in enumerate(seq.members()):
+            terms = poly.pairs()
             constants.append(terms.get((0, 0), (0, 1)))
             alphas = _multiples(terms, k, entries)
             if _passes_by_structure(k, alphas, prev_alphas):
                 results.append(DegreeCheck(k, True, True))
             else:
-                poly = appell.AppellPoly.of_pairs(k, terms)
                 monogenic = _binary_cr(poly, seq.n, 1)
                 # degree 0 holds vacuously, as in check_appell
-                ladder = (_binary_cr(poly, seq.n, -1) + appell.AppellPoly.of_pairs(k - 1, prev) * -k
-                          if k else appell.AppellPoly(0))
+                ladder = _binary_cr(poly, seq.n, -1) + prev * -k if k else appell.AppellPoly(0)
                 # the first nonzero residual gives the witness: monogenic before ladder
                 failed = next((r for r in (monogenic, ladder) if not r.is_zero()), None)
                 witness = None if failed is None else _binary_witness(failed, seq.n)
                 results.append(DegreeCheck(k, monogenic.is_zero(), ladder.is_zero(), witness))
-            prev, prev_alphas = terms, alphas
+            prev, prev_alphas = poly, alphas
         if intertwining and all(r.passed for r in results):
             c0 = seq.coeffs.values[0]
-            column = transfer_column(seq.family, seq.m, seq.lam) if column is None else column
+            column = transfer_column(seq.family, seq.m, seq.lam)
             mismatch = next(({"k": k, "expected": str(c0 * t), "found": ratio_text(*a)}
                              for k, (t, a) in enumerate(zip(column, constants))
                              if (c0 * t).as_integer_ratio() != a), None)

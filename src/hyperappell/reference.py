@@ -24,7 +24,6 @@ from .trimatrix import (
     appell_rows,
     check_dimension,
     derivation_entry,
-    matrix_json,
     pascal_column,
     subdiagonal_rows,
     transfer_column,
@@ -198,7 +197,9 @@ class TriMatrix:
         return f"TriMatrix[{body}]"
 
     def to_json(self) -> dict:
-        return matrix_json(self.order, self.rows)
+        """The layout of the matrix as a dict.  `matrices` writes its text row by row from
+        `cli_matrices._json_pieces`; the tests compare the two."""
+        return {"m": self.order, "rows": [[str(v) for v in row] for row in self.rows]}
 
 
 def creation_matrix(m: int) -> TriMatrix:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .appell import AppellSequence, CoeffSequence, check_header, coefficient_sequence, family_pairs
+from .appell import (AppellPoly, AppellSequence, CoeffSequence, check_header, coefficient_sequence,
+                     family_members)
 from .rationals import ONE, parse_pair, ratio_text, read_rational
 from .trimatrix import transfer_column
 
@@ -90,8 +91,8 @@ def from_json(payload: dict) -> AppellSequence:
 
     The header must pass `check_header`, c_0..c_m be those of n, s and c_0,
     and a shifted file, which `certify` checks only by intertwining, hold
-    exactly `build_phi(coeffs)`.  Each member is held as {(i, j): (num, den)},
-    the form of `appell.family_pairs`.
+    exactly `build_phi(coeffs)`.  Each member is an AppellPoly of the pairs
+    {(i, j): (num, den)} as read, the form `appell.family_members` draws.
     """
     n = _json_get(payload, "n", int)
     shift = _json_get(payload, "s", int, default=0)
@@ -116,8 +117,8 @@ def from_json(payload: dict) -> AppellSequence:
             a = read_rational(term.get("a"), "term coefficient", parse_pair)
             a = (Fraction(*terms[key]) + Fraction(*a)).as_integer_ratio() if key in terms else a
             terms[keys.setdefault(key, key)] = a  # one key tuple for every member
-        # repeated keys summed and zeros dropped, as in AppellPoly
-        polys.append({key: a for key, a in terms.items() if a[0]})
+        # repeated keys summed and zeros dropped, as the AppellPoly constructor does
+        polys.append(AppellPoly.of_pairs(k, {key: a for key, a in terms.items() if a[0]}))
     if not polys:
         raise ValueError("sequence must contain at least degree 0")
     m = len(polys) - 1
@@ -126,7 +127,7 @@ def from_json(payload: dict) -> AppellSequence:
     coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
     if coeffs.values != values:
         raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
-    if shift and polys != list(family_pairs(transfer_column("canonical", m), coeffs)):
+    if shift and polys != list(family_members(transfer_column("canonical", m), coeffs)):
         raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
     return AppellSequence(family=family, polys=polys, coeffs=coeffs, lam=lam)
 

@@ -46,12 +46,6 @@ TRANSFER_FAMILIES = ("bernoulli", "euler", "frobenius-euler", "hermite")
 FAMILIES = ("canonical",) + TRANSFER_FAMILIES
 
 
-def matrix_json(m: int, rows) -> dict:
-    """The layout of a matrix of order m as a dict, `TriMatrix.to_json`.  `matrices` writes
-    its text row by row from `cli_matrices._json_pieces`; the tests compare the two."""
-    return {"m": m, "rows": [[str(v) for v in row] for row in rows]}
-
-
 def check_dimension(n: int, shift: int = 0) -> None:
     """The one rule on the dimension n and on the shift s, shared by every entry point."""
     if n < 1:

@@ -56,6 +56,14 @@ GOLDEN_COMMANDS = {
     "matrices_tilde_n2_m3.json": ("matrices", "--n", "2", "--m", "3", "--tilde"),
     "matrices_bernoulli_m2.json": ("matrices", "--m", "2", "--family", "bernoulli"),
     "verify_canonical_n2_m5.json": ("verify", "--n", "2", "--m", "5"),
+    "eval_bernoulli_n2_m4.json": ("eval", "--n", "2", "--m", "4", "--family", "bernoulli",
+                                  "--point", "1/2,-1,2"),
+    "exp_n2_order6.csv": ("exp", "--n", "2", "--point", "1,1/2,-1", "--order", "6",
+                          "--format", "csv"),
+    "verify_euler_n2_m4.txt": ("verify", "--n", "2", "--m", "4", "--family", "euler",
+                               "--format", "pretty"),
+    "gen_fe_neg4_7_n2_m3.txt": ("gen", "--n", "2", "--m", "3", "--family", "frobenius-euler",
+                                "--lambda=-4/7", "--format", "pretty"),
 }
 
 

@@ -652,9 +652,64 @@ def test_sequence_json_round_trip():
         payload = seq.to_json()
         assert payload["n"] == 2 and payload["m"] == 4 and payload["family"] == family
         clone = from_json(json.loads(json.dumps(payload)))
-        assert clone.polys == [poly.pairs() for poly in seq.polys]
+        assert clone.polys == seq.polys
         assert clone.coeffs == seq.coeffs
         assert clone.lam == seq.lam
+
+
+def test_sequence_json_round_trip_is_equal_for_every_family():
+    # a loaded member is the AppellPoly that was written: the sequence compares equal and
+    # prints the same, for every family, and for a shifted canonical sequence
+    cases = [(family, None) for family in FAMILIES if family != "frobenius-euler"]
+    cases += [("frobenius-euler", Fraction(2, 3)), ("frobenius-euler", Fraction(-4, 7))]
+    seqs = [build_family(n, m, family, lam=lam)
+            for family, lam in cases for n in range(1, 4) for m in range(7)]
+    seqs.append(build_phi(coefficient_sequence(3, 5, shift=2)))
+    for seq in seqs:
+        clone = from_json(json.loads(json.dumps(seq.to_json())))
+        assert clone == seq, (seq.family, seq.lam, seq.n, seq.m)
+        assert [str(p) for p in clone.polys] == [str(p) for p in seq.polys]
+
+
+fraction_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    max_size=6,
+)
+
+
+def fraction_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, value in b.items():
+        out[key] = out.get(key, Fraction(0)) + value
+    return {key: value for key, value in out.items() if value}
+
+
+@given(fraction_terms, fraction_terms, st.integers(0, 2), st.integers(0, 2),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@settings(max_examples=200, deadline=None)
+def test_appell_poly_agrees_with_fraction_dict_arithmetic(a, b, da, db, scale):
+    # the member is held as integer pairs; its Fraction view, sum, multiple, equality and hash
+    # are those of the dict of Fractions it was built from, zeros dropped
+    p, q = AppellPoly(da, a), AppellPoly(db, b)
+    nonzero = {key: value for key, value in a.items() if value}
+    assert p.terms == nonzero
+    assert p.pairs() == {key: value.as_integer_ratio() for key, value in nonzero.items()}
+    assert all(den > 0 for _, den in p.pairs().values())
+    assert (p + q).terms == fraction_sum(a, b) and (p + q).degree == max(da, db)
+    assert (p * scale).terms == {key: value * scale for key, value in nonzero.items() if scale}
+    assert (scale * p) == (p * scale) and (p * scale).degree == da
+    assert (p == q) == ((da, nonzero) == (db, fraction_sum(b, {})))
+    if p == q:
+        assert hash(p) == hash(q)
+    # the same terms in another order, with zeros added, are the same member
+    same = AppellPoly(da, {**{key: 0 for key in b}, **dict(reversed(a.items()))})
+    assert same == p and hash(same) == hash(p)
+    assert AppellPoly.of_pairs(da, p.pairs()) == p
+    assert hash(AppellPoly.of_pairs(da, p.pairs())) == hash(p)
+    view = p.terms
+    view[(9, 9)] = Fraction(1)
+    assert (9, 9) not in p.terms and p == AppellPoly(da, a)
 
 
 def test_sequence_json_shifted_round_trip():

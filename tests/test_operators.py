@@ -271,8 +271,12 @@ def test_certify_of_members_drawn_once_is_certify_of_the_list():
 
 
 def corrupted_pairs(pairs, polys, rng, k, insert):
-    """Member k of both forms with the same term perturbed, or the same (i, j) added."""
-    terms, poly_terms = dict(pairs[k]), dict(polys[k].terms)
+    """Member k of both lists with the same term perturbed, or the same (i, j) added.
+
+    In `pairs` the new member is built by `AppellPoly.of_pairs`, in `polys` by the Fraction
+    constructor.
+    """
+    terms, poly_terms = dict(pairs[k].pairs()), polys[k].terms
     free = [(i, d - i) for d in range(k + 2) for i in range(d + 1) if (i, d - i) not in terms]
     key = rng.choice(free) if insert else rng.choice(sorted(terms))
     value = Fraction(*terms.get(key, (0, 1))) + random_rational(rng)
@@ -281,7 +285,7 @@ def corrupted_pairs(pairs, polys, rng, k, insert):
     else:
         del terms[key]
     poly_terms[key] = value
-    return ([*pairs[:k], terms, *pairs[k + 1:]],
+    return ([*pairs[:k], AppellPoly.of_pairs(k, terms), *pairs[k + 1:]],
             [*polys[:k], AppellPoly(k, poly_terms), *polys[k + 1:]])
 
 
@@ -296,9 +300,10 @@ def fraction_value(poly, point):
 
 
 def test_pair_members_from_flags_certify_and_evaluate_as_the_fraction_members():
-    # verify and eval from flags read the members of family_pairs, {(i, j): (num, den)}; the
-    # report, witnesses and family check included, and the values must be those of
-    # build_family's AppellPolys, intact and with one term corrupted or added at each degree
+    # verify and eval from flags read the members of family_members, each an AppellPoly holding
+    # {(i, j): (num, den)}; the report, witnesses and family check included, and the values must
+    # be those of the same members built by the Fraction constructor, intact and with one term
+    # corrupted or added at each degree
     rng = random.Random(67)
     failures = 0
     for family in FAMILIES:
@@ -307,16 +312,19 @@ def test_pair_members_from_flags_certify_and_evaluate_as_the_fraction_members():
                 lam = family_lam(family)
                 args = SimpleNamespace(n=n, m=m, family=family, lam=lam and str(lam), c0=None,
                                        shift=None, input=None)
-                drawn, column = load_sequence(args)
+                drawn = load_sequence(args)
                 pairs = list(drawn.polys)
-                polys = build_family(n, m, family, lam=drawn.lam).polys
-                assert pairs == [p.pairs() for p in polys]
+                built = build_family(n, m, family, lam=drawn.lam).polys
+                assert [p.pairs() for p in pairs] == [p.pairs() for p in built]
+                polys = [AppellPoly(k, p.terms) for k, p in enumerate(built)]
+                assert pairs == polys
                 point = (Fraction(-2, 3), tuple(Fraction(3 - 2 * x, x + 1) for x in range(n)))
                 cases = [(pairs, polys)] + [corrupted_pairs(pairs, polys, rng, k, insert)
                                             for k in range(m + 1) for insert in (False, True)]
                 for pair_members, poly_members in cases:
+                    assert pair_members == poly_members
                     seq = AppellSequence(family, iter(pair_members), drawn.coeffs, drawn.lam)
-                    report = certify(seq, column).to_json()
+                    report = certify(seq).to_json()
                     fraction_seq = AppellSequence(family, poly_members, drawn.coeffs, drawn.lam)
                     assert report == certify(fraction_seq).to_json(), (family, n, m)
                     seq = AppellSequence(family, iter(pair_members), drawn.coeffs, drawn.lam)
