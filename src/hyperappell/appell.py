@@ -37,7 +37,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import clifford, polynomials  # run on first use: no command runs them
-from .rationals import ONE, ZERO, reduced_fraction
+from .rationals import ONE, ZERO
 from .trimatrix import (FAMILIES, appell_rows, check_dimension, check_lambda, derivation_entry,
                         transfer_column)
 
@@ -133,7 +133,7 @@ class AppellPoly:
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         """The member as {(i, j): Fraction}, a new dict on each access."""
-        return {key: reduced_fraction(*pair) for key, pair in self._pairs.items()}
+        return {key: Fraction(*pair) for key, pair in self._pairs.items()}
 
     def is_zero(self) -> bool:
         return not self._pairs

@@ -65,7 +65,7 @@ def csv_lines(header: list[str], rows, with_float: bool):
     """
     cells = lambda: ((*row[:-1], ratio_text(*row[-1])) for row in rows())
     if with_float:
-        approx = [ratio_float(*row[-1], "--float") for row in rows()]
+        approx = [ratio_float(*row[-1]) for row in rows()]
         header, drawn = header + ["approx"], ((*row, a) for row, a in zip(cells(), approx))
     else:
         drawn = cells()

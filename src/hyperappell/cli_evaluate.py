@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cli import check_size, csv_lines, emit, triangle, value_text
 from .cli_digits import check_values
 from .evaluate import binary_exp, binary_values
-from .rationals import approximate, read_rational
+from .rationals import ratio_float, read_rational
 from .trimatrix import check_dimension
 
 
@@ -38,7 +38,7 @@ def _value_json(n: int, terms, with_float: bool) -> dict:
     out = {"n": n, "terms": [{"blade": list(b), "coeff": str(coeff)} for b, coeff in terms]}
     if with_float:
         for term, (_, coeff) in zip(out["terms"], terms):
-            term["approx"] = approximate(coeff, "--float")
+            term["approx"] = ratio_float(*coeff.as_integer_ratio())
     return out
 
 

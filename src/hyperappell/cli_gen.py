@@ -8,7 +8,7 @@ from . import appell  # runs on first use, as every layer (see the package docst
 from .cli import csv_lines, emit
 from .cli_digits import check_digits
 from .cli_sequence import build_flags
-from .rationals import approximate
+from .rationals import ratio_float
 from .seqfile import member_text, sequence_pieces
 
 
@@ -17,7 +17,7 @@ def cmd_gen(args) -> int:
     check_digits(column, coeffs.values)
     members = lambda: appell.transferred_terms(column, coeffs)
     if args.format == "json":
-        approx = [approximate(c, "--float") for c in coeffs.values] if args.float else None
+        approx = [ratio_float(*c.as_integer_ratio()) for c in coeffs.values] if args.float else None
         out = sequence_pieces(family, coeffs, lam, members(), approx)
     elif args.format == "csv":
         rows = lambda: ((k, i, j, (num, den))

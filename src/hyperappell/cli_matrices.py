@@ -83,7 +83,7 @@ def cmd_matrices(args) -> int:
         # every approximation, and the call that refuses a negative order, precede the first byte
         approx = None
         if args.float:
-            approx = [[ratio_float(*v, "--float") for v in row] for row in matrix_rows()]
+            approx = [[ratio_float(*v) for v in row] for row in matrix_rows()]
         out = _json_pieces(args.m, matrix_rows(), approx)
     elif args.format == "csv":
         rows = lambda: ((i, j, v) for i, row in enumerate(matrix_rows()) for j, v in enumerate(row))

@@ -14,8 +14,9 @@ import stat
 from . import appell, cli
 from .rationals import read_rational
 
-# Sequence flags that --input replaces; unset they are None and the library default applies.
-BUILD_FLAGS = {"family": "--family", "lam": "--lambda", "c0": "--c0", "shift": "--shift"}
+# Sequence flags that --input replaces, dest -> flag name; unset they are None and the library
+# default applies.
+BUILD_FLAGS = {dest: name for name, dest, *_ in cli.SEQUENCE_FLAGS if name not in ("--n", "--m")}
 # The most bytes an --input file may hold: 300 per term, as `gen --n 3 --m 1412`, the largest
 # canonical file within SIZE_BUDGET, spends about 280; its values are counted apart, 5 per term.
 INPUT_BUDGET = 300 * cli.SIZE_BUDGET

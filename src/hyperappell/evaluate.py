@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import appell  # run on first use
-from .rationals import ONE, ZERO, reduced_fraction
+from .rationals import ONE, ZERO
 
 
 def binary_values(seq: appell.AppellSequence, point) -> list[tuple[Fraction, Fraction]]:
@@ -26,17 +26,16 @@ def binary_values(seq: appell.AppellSequence, point) -> list[tuple[Fraction, Fra
 def binary_value(terms: dict, point) -> tuple[Fraction, Fraction]:
     """(A, B) with sum_{(i,j)} a_{ij} x0^i v^j = A + B v at point = (x0, vec).
 
-    `terms` is a member {(i, j): (num, den)}.  The terms of each vector exponent j
-    sum to sum_i a x0^i, with the powers of x0 built one step at a time; that sum,
-    times (-|v|^2)^(j//2), goes to A for even j and to B for odd j.
+    `terms` is a member {(i, j): (num, den)}.  With x0 = p/q, each term is the one
+    Fraction(num p^i, den q^i); the terms of each vector exponent j sum to
+    sum_i a x0^i, and that sum, times (-|v|^2)^(j//2), goes to A for even j and to
+    B for odd j.
     """
     x0, vec = point
-    powers = [ONE]  # x0^0, x0^1, ...
+    p, q = x0.as_integer_ratio()
     sums: dict[int, Fraction] = {}
     for (i, j), (num, den) in terms.items():
-        while len(powers) <= i:
-            powers.append(powers[-1] * x0)
-        sums[j] = sums.get(j, ZERO) + reduced_fraction(num, den) * powers[i]
+        sums[j] = sums.get(j, ZERO) + Fraction(num * p**i, den * q**i)
     square = -sum((v * v for v in vec), ZERO)
     parts = [ZERO, ZERO]  # A, B
     for j, total in sums.items():

@@ -7,14 +7,14 @@ stores them in lowest terms with a positive denominator and serializes as
 ``"p/q"`` (or ``"p"`` when the denominator is 1), the wire format used by
 all JSON and CSV output.  A value drawn as an integer pair (num, den) in
 lowest terms, den > 0, has the same text, `ratio_text`, is read from it by
-`parse_pair`, and becomes a Fraction through `reduced_fraction`.  `approximate` gives the optional
-decimal renderings next to the exact values.
+`parse_pair`, and becomes a Fraction through the public constructor
+Fraction(num, den).  `ratio_float` gives the optional decimal renderings next
+to the exact values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 ZERO = Fraction(0)
@@ -26,7 +26,7 @@ def parse_rational(text: str) -> Fraction:
 
     Decimal or exponent notation is rejected: inputs are exact by contract.
     """
-    return reduced_fraction(*parse_pair(text))
+    return Fraction(*parse_pair(text))
 
 
 def parse_pair(text: str) -> tuple[int, int]:
@@ -58,25 +58,13 @@ def ratio_text(num: int, den: int) -> str:
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-# Fraction of a pair in lowest terms, den > 0, without the second gcd Fraction(num, den) takes:
-# the constructor of Fraction's own arithmetic (CPython 3.12 on; _normalize=False before)
-reduced_fraction = getattr(Fraction, "_from_coprime_ints", None) or partial(
-    Fraction, _normalize=False
-)
-
-
-def approximate(value: Fraction, name: str) -> float:
-    """float(value) for a decimal rendering next to an exact value: `ratio_float` of its terms."""
-    return ratio_float(value.numerator, value.denominator, name)
-
-
-def ratio_float(num: int, den: int, name: str) -> float:
+def ratio_float(num: int, den: int) -> float:
     """num / den as a float, the division float(Fraction(num, den)) makes on CPython 3.10-3.13.
 
-    A value beyond the double range is a ValueError that names the option
-    asking for the rendering, not an OverflowError.
+    A value beyond the double range is a ValueError that names --float, the
+    option asking for the rendering, not an OverflowError.
     """
     try:
         return num / den
     except OverflowError:
-        raise ValueError(f"{name} cannot render a value beyond the range of a float") from None
+        raise ValueError("--float cannot render a value beyond the range of a float") from None

@@ -19,7 +19,7 @@ from .appell import AppellPoly, AppellSequence, vector_power_expansion
 from .clifford import Multivector, Paravector
 from .operators import HALF, DegreeCheck, VerifyReport
 from .polynomials import CliffordPoly
-from .rationals import ONE, ZERO, reduced_fraction
+from .rationals import ONE, ZERO
 from .trimatrix import (
     appell_rows,
     check_dimension,
@@ -63,7 +63,7 @@ class TriMatrix:
     @classmethod
     def _of_pairs(cls, rows) -> "TriMatrix":
         """The matrix of rows of (num, den) pairs in lowest terms, as `trimatrix` draws them."""
-        return cls._of_rows([[reduced_fraction(*v) for v in row] for row in rows])
+        return cls._of_rows([[Fraction(*v) for v in row] for row in rows])
 
     @property
     def order(self) -> int:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .appell import (AppellPoly, AppellSequence, CoeffSequence, check_header, coefficient_sequence,
-                     family_members)
+from .appell import (AppellPoly, AppellSequence, CoeffSequence, build_phi, check_header,
+                     coefficient_sequence)
 from .rationals import ONE, parse_pair, ratio_text, read_rational
-from .trimatrix import transfer_column
 
 
 def member_text(terms) -> str:
@@ -127,7 +126,7 @@ def from_json(payload: dict) -> AppellSequence:
     coeffs = coefficient_sequence(n, m, c0=values[0] if values else ONE, shift=shift)
     if coeffs.values != values:
         raise ValueError(f"coefficients are not c_0..c_{m} of n={n}, s={shift}")
-    if shift and polys != list(family_members(transfer_column("canonical", m), coeffs)):
+    if shift and polys != build_phi(coeffs).polys:
         raise ValueError(f"a file with s={shift} must hold build_phi of its coefficients")
     return AppellSequence(family=family, polys=polys, coeffs=coeffs, lam=lam)
 

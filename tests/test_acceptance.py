@@ -58,6 +58,11 @@ GOLDEN_COMMANDS = {
     "verify_canonical_n2_m5.json": ("verify", "--n", "2", "--m", "5"),
     "eval_bernoulli_n2_m4.json": ("eval", "--n", "2", "--m", "4", "--family", "bernoulli",
                                   "--point", "1/2,-1,2"),
+    "eval_hermite_n2_m5.json": ("eval", "--n", "2", "--m", "5", "--family", "hermite",
+                                "--point", "0,1,-1"),
+    "eval_fe_neg4_7_n3_m6_float.csv": ("eval", "--n", "3", "--m", "6", "--family",
+                                       "frobenius-euler", "--lambda=-4/7",
+                                       "--point=-3/5,1,0,2/3", "--format", "csv", "--float"),
     "exp_n2_order6.csv": ("exp", "--n", "2", "--point", "1,1/2,-1", "--order", "6",
                           "--format", "csv"),
     "verify_euler_n2_m4.txt": ("verify", "--n", "2", "--m", "4", "--family", "euler",

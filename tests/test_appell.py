@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperappell.appell import (
@@ -20,7 +20,8 @@ from hyperappell.appell import (
     vector_power_expansion,
 )
 from hyperappell.clifford import Multivector, Paravector
-from hyperappell.evaluate import eval_at, eval_poly, exp_truncated, restrict_poly, restrict_real
+from hyperappell.evaluate import (binary_value, eval_at, eval_poly, exp_truncated, restrict_poly,
+                                  restrict_real)
 from hyperappell.polynomials import CliffordPoly
 from hyperappell.reference import (
     appell_matrix,
@@ -710,6 +711,29 @@ def test_appell_poly_agrees_with_fraction_dict_arithmetic(a, b, da, db, scale):
     view = p.terms
     view[(9, 9)] = Fraction(1)
     assert (9, 9) not in p.terms and p == AppellPoly(da, a)
+
+
+nonzero_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**6).filter(bool)
+rational_coords = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6))
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                    nonzero_fractions.map(Fraction.as_integer_ratio), max_size=8),
+    st.one_of(st.just(Fraction(0)), st.fractions(max_value=0, max_denominator=10**6),
+              st.fractions(max_denominator=10**6)),
+    st.lists(rational_coords, min_size=1, max_size=3),
+)
+@example({(3, 2): (5, 7), (0, 1): (-1, 2)}, Fraction(0), [Fraction(0), Fraction(2, 3)])
+@example({(4, 1): (3, 1), (1, 5): (-2, 9)}, Fraction(-7, 999983), [Fraction(0)])
+@settings(max_examples=200, deadline=None)
+def test_binary_value_is_the_sum_of_its_terms(pairs, x0, vec):
+    # A + B v, each term a x0^i v^j with v^j = (-|v|^2)^(j//2) v^(j%2), summed term by term
+    square = -sum(v * v for v in vec)
+    parts = [Fraction(0), Fraction(0)]
+    for (i, j), (num, den) in pairs.items():
+        parts[j % 2] += Fraction(num, den) * x0**i * square ** (j // 2)
+    assert binary_value(pairs, (x0, tuple(vec))) == tuple(parts)
 
 
 def test_sequence_json_shifted_round_trip():

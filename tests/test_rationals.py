@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperappell.rationals import approximate, parse_pair, parse_rational, read_rational
+from hyperappell.rationals import parse_pair, parse_rational, ratio_float, read_rational
 
 from oracles import double_factorial
 
@@ -82,10 +82,10 @@ def test_double_factorial_rejects_below_minus_one():
         double_factorial(-2)
 
 
-def test_approximate_refuses_values_beyond_float_range():
-    assert approximate(Fraction(-3, 4), "--float") == -0.75
-    assert approximate(Fraction(10**400 + 1, 10**400), "--float") == 1.0
-    assert approximate(Fraction(1, 10**400), "--float") == 0.0
+def test_ratio_float_refuses_values_beyond_float_range():
+    assert ratio_float(-3, 4) == -0.75
+    assert ratio_float(10**400 + 1, 10**400) == 1.0
+    assert ratio_float(1, 10**400) == 0.0
     for value in (Fraction(10**400), Fraction(-(10**310), 7)):
         with pytest.raises(ValueError, match="^--float "):
-            approximate(value, "--float")
+            ratio_float(*value.as_integer_ratio())
